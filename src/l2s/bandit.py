@@ -9,6 +9,7 @@ drawn uniformly from the explored pool and report its prediction.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class BanditState:
 
 def importance_weighted_costs(k, taken, loss):
     """K * loss on the explored action, zero elsewhere."""
-    c = np.zeros(k)
+    c = [0.0] * k
     c[taken] = k * loss
     return c
 
@@ -81,29 +82,43 @@ def _checked_loss(loss_oracle, end_state):
     return loss
 
 
-def _explore(state, task, loss_oracle, reference):
-    latest = state.latest_policy()
-    t = int(state.explore_rng.integers(task.horizon))
+def exploration_step(task, latest, reference, loss, explore_rng, mixture_rng,
+                     plan):
+    """One exploration draw; returns (s_t, end state, record).
+
+    Rolls in with `latest` to a uniform depth t, takes a uniform action
+    a_t (both from `explore_rng`), completes with `plan`'s mixture of
+    `reference` and `latest` (one draw from `mixture_rng`) and records
+    t, a_t, k, `loss(end)`, the roll-out kind and the weighted costs.
+    """
+    t = int(explore_rng.integers(task.horizon))
     s_t = core.execute(task, latest, task.start_state(), t)
     k = task.action_count(s_t)
-    a_t = int(state.explore_rng.integers(k))
+    a_t = int(explore_rng.integers(k))
 
-    kind = draw_rollout_policy(state._plan, state.mixture_rng)
+    kind = draw_rollout_policy(plan, mixture_rng)
     out_policy = reference if kind == "reference" else latest
     nxt = task.transition(s_t, a_t)
     end = core.execute(task, out_policy, nxt, task.horizon - t - 1)
-    loss = _checked_loss(loss_oracle, end)
+    observed = loss(end)
+    return s_t, end, {"t": t, "action": a_t, "k": k, "loss": observed,
+                      "rollout": kind,
+                      "costs": importance_weighted_costs(k, a_t, observed)}
 
-    costs = importance_weighted_costs(k, a_t, loss)
-    example = CostSensitiveExample(task.action_features(s_t), costs, raw=True)
+
+def _explore(state, task, loss_oracle, reference):
+    s_t, end, record = exploration_step(
+        task, state.latest_policy(), reference,
+        partial(_checked_loss, loss_oracle), state.explore_rng,
+        state.mixture_rng, state._plan)
+    example = CostSensitiveExample(task.action_features(s_t), record["costs"],
+                                   raw=True)
     state.learner.update(example)
     state.explored_policies.append(state.learner.weights.copy())
     state.n_explore += 1
-    record = {"t": t, "action": a_t, "k": k, "loss": loss,
-              "rollout": kind, "costs": costs.tolist()}
     return state, BanditOutcome(mode="explored",
                                 prediction=task.decode(end),
-                                observed_loss=loss,
+                                observed_loss=record["loss"],
                                 exploration_record=record)
 
 
@@ -139,22 +154,17 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
             q = (beta * ex.exact_Q(model, ref_exact, s, action)
                  + (1 - beta) * ex.exact_Q(model, latest_exact, s, action))
             exact_value += p * q / T
-    # simulation side
+    # simulation side: the bandit's own exploration step, never updating
     latest = core.LinearPolicy(latest_weights, tie_break=tie_break)
     g = rng.substream(seed, rng.EXPLORATION)
     gm = rng.substream(seed, rng.MIXTURE)
     plan = RolloutPlan(roll_in="learned", roll_out="mixture", beta=beta,
                        seed=seed)
+    loss = partial(core.end_loss, task)
     values = np.empty(trials)
     for i in range(trials):
-        t = int(g.integers(T))
-        s_t = core.execute(task, latest, task.start_state(), t)
-        k = task.action_count(s_t)
-        a_t = int(g.integers(k))
-        kind = draw_rollout_policy(plan, gm)
-        out_policy = ref_exact if kind == "reference" else latest
-        end = core.execute(task, out_policy, task.transition(s_t, a_t),
-                           T - t - 1)
-        loss = core.end_loss(task, end)
-        values[i] = k * loss if a_t == action else 0.0
+        _, _, record = exploration_step(task, latest, ref_exact, loss, g, gm,
+                                        plan)
+        # an action the state lacks counts 0
+        values[i] = record["costs"][action] if action < record["k"] else 0.0
     return float(values.mean()), exact_value, float(values.std(ddof=1))

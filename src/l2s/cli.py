@@ -7,6 +7,7 @@ exact-check suite.
 
 import json
 import sys
+from dataclasses import fields
 
 import click
 import numpy as np
@@ -22,10 +23,6 @@ from .tasks import (
     write_multiclass,
     write_sentences,
 )
-
-CONFIG_KEYS = ("task", "data", "test_data", "reference_quality", "roll_in",
-               "roll_out", "beta", "draw_granularity", "passes", "seed",
-               "eta0")
 
 
 def _resolved_config(config_path, overrides):
@@ -47,9 +44,9 @@ def _fail(exc):
 def config_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(exists=True),
                       default=None, help="key=value config file")(fn)
-    for key in reversed(CONFIG_KEYS):
-        flag = "--" + key.replace("_", "-")
-        fn = click.option(flag, key, default=None)(fn)
+    for f in reversed(fields(experiment.ExperimentConfig)):
+        flag = "--" + f.name.replace("_", "-")
+        fn = click.option(flag, f.name, default=None)(fn)
     return fn
 
 

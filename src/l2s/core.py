@@ -85,10 +85,11 @@ def act(policy, per_action_features):
     if not per_action_features:
         raise EmptyActionSet("no actions to choose from")
     scores = [sparse.dot(policy.weights, f) for f in per_action_features]
-    return _argmin(scores, policy.tie_break)
+    return argmin(scores, policy.tie_break)
 
 
-def _argmin(scores, tie_break):
+def argmin(scores, tie_break):
+    """Index of the smallest score; ties go to the "lowest" or "highest" index."""
     best = min(scores)
     idx = [i for i, s in enumerate(scores) if s == best]
     return idx[-1] if tie_break == "highest" else idx[0]

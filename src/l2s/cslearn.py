@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sparse
-from .core import LinearPolicy
+from .core import LinearPolicy, act, argmin
 from .errors import DimensionMismatch, EmptyActionSet, NonFiniteCost, L2SError
 
 MAGIC = b"CSLEARN1"
@@ -97,7 +97,7 @@ class CostSensitiveLearner:
     def predict(self, example):
         """Argmin of predicted costs; ties go to the lowest action index."""
         scores = [self.regressor.predict(f) for f in example.per_action_features]
-        return int(np.argmin(scores))
+        return argmin(scores, "lowest")
 
     def update(self, example):
         """One sequential gradient pass over the example's (x, c) pairs.
@@ -164,11 +164,4 @@ class CostSensitiveLearner:
 
 def comparator_from_policy(policy):
     """Adapt a LinearPolicy into an example-level comparator."""
-
-    def h(example):
-        scores = [sparse.dot(policy.weights, f) for f in example.per_action_features]
-        best = min(scores)
-        idx = [i for i, s in enumerate(scores) if s == best]
-        return idx[-1] if policy.tie_break == "highest" else idx[0]
-
-    return h
+    return lambda example: act(policy, example.per_action_features)

@@ -40,21 +40,8 @@ METRICS = {
 
 # -- configuration --
 
-_CONFIG_TYPES = {
-    "task": str,
-    "data": str,
-    "test_data": str,
-    "reference_quality": str,
-    "roll_in": str,
-    "roll_out": str,
-    "beta": float,
-    "draw_granularity": str,
-    "passes": int,
-    "seed": int,
-    "eta0": float,
-}
-
-
+# The fields are the config schema: each is one config-file key and one
+# CLI flag, and its annotation converts the string value.
 @dataclass
 class ExperimentConfig:
     task: str = "sequence"
@@ -105,14 +92,15 @@ def read_config(path):
 
 def build_config(mapping):
     """Typed ExperimentConfig from string-valued key=value pairs."""
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     kwargs = {}
     for key, value in mapping.items():
-        if key not in _CONFIG_TYPES:
+        if key not in types:
             raise BadConfig(f"unknown config key {key!r}")
         if value is None:
             continue
         try:
-            kwargs[key] = _CONFIG_TYPES[key](value)
+            kwargs[key] = types[key](value)
         except ValueError:
             raise BadConfig(f"bad value {value!r} for {key}")
     return ExperimentConfig(**kwargs)
@@ -223,11 +211,6 @@ def evaluate(dataset, policy):
         if dataset.kind == "multiclass":
             total += task.terminal_loss(end)
             weight += 1
-        elif dataset.kind == "sequence":
-            gold = dataset.records[i][1]
-            pred = task.decode(end)
-            total += sum(1 for p, g in zip(pred, gold) if p == g)
-            weight += len(gold)
         else:
             gold = dataset.records[i][1]
             pred = task.decode(end)

@@ -37,6 +37,15 @@ def from_pairs(pairs, dimension):
     return SparseFeatures(tuple(sorted(acc.items())), dimension)
 
 
+def block_features(pairs, blocks, base, dimension):
+    """The label-dependent block layout: one SparseFeatures per block id
+    in `blocks`, each a copy of `pairs` (sorted indices in [0, base))
+    shifted by block * base.
+    """
+    return [SparseFeatures(tuple((b * base + i, v) for i, v in pairs), dimension)
+            for b in blocks]
+
+
 def dot(weights, features):
     """Dense-sparse dot product; validates the feature dimension."""
     if features.dimension != len(weights):

@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from .. import rng
-from ..core import Policy, SearchTask, StateRef
-from ..sparse import SparseFeatures, hash_index
+from ..core import Policy, SearchTask, StateRef, argmin
+from ..sparse import block_features, hash_index
 
 DEFAULT_BASE_BITS = 14
 
@@ -83,13 +83,9 @@ class LabelTreeTask(SearchTask):
         merged = {}
         for i, v in pairs:
             merged[i] = merged.get(i, 0.0) + v
-        idx = sorted(merged.items())
-        feats = []
-        for a in range(self.action_count(state)):
-            off = a * self.base
-            feats.append(SparseFeatures(tuple((off + i, v) for i, v in idx),
-                                        self.dimension))
-        return feats
+        return block_features(sorted(merged.items()),
+                              range(self.action_count(state)), self.base,
+                              self.dimension)
 
     def terminal_loss(self, state):
         lo, hi = state.payload
@@ -126,4 +122,4 @@ class TreeReference(Policy):
         left, right = split(lo, hi)
         lmin = self.task.costs[left[0]:left[1] + 1].min()
         rmin = self.task.costs[right[0]:right[1] + 1].min()
-        return 0 if lmin <= rmin else 1
+        return argmin([lmin, rmin], "lowest")

@@ -1,11 +1,9 @@
 """Left-to-right sequence tagging under Hamming loss."""
 
-import numpy as np
-
 from .. import rng
 from ..core import Policy, SearchTask, StateRef
 from ..errors import MissingGold
-from ..sparse import SparseFeatures, hash_index
+from ..sparse import block_features, hash_index
 
 DEFAULT_BASE_BITS = 15
 
@@ -55,14 +53,10 @@ class SequenceTask(SearchTask):
         return keys
 
     def action_features(self, state):
-        # label-dependent block layout: one base block per tag
         idx = sorted({hash_index(k, self.base) for k in self._base_keys(state)})
-        feats = []
-        for a in range(self.action_count(state)):
-            off = a * self.base
-            feats.append(SparseFeatures(tuple((off + i, 1.0) for i in idx),
-                                        self.dimension))
-        return feats
+        return block_features([(i, 1.0) for i in idx],
+                              range(self.action_count(state)), self.base,
+                              self.dimension)
 
     def terminal_loss(self, state):
         if self.gold_tags is None:

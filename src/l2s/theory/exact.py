@@ -12,7 +12,7 @@ them (the model cannot separate those slots).
 import itertools
 from dataclasses import dataclass, field
 
-from ..core import SearchTask, StateRef, Policy
+from ..core import SearchTask, StateRef, Policy, argmin
 from ..errors import DataFormatError, IllegalAction, L2SError
 from ..sparse import SparseFeatures
 
@@ -258,13 +258,10 @@ class ExactModelTask(SearchTask):
 
     def learned_slot_policy(self, weights, tie_break="lowest"):
         """The deterministic SlotPolicy a weight vector induces."""
-        slots = {}
-        for sig in self.model.signatures():
-            scores = [weights[self.feature_index[(sig, label)]] for label in sig]
-            best = min(scores)
-            idx = [i for i, sc in enumerate(scores) if sc == best]
-            slots[sig] = idx[-1] if tie_break == "highest" else idx[0]
-        return SlotPolicy(slots)
+        return SlotPolicy({
+            sig: argmin([weights[self.feature_index[(sig, label)]]
+                         for label in sig], tie_break)
+            for sig in self.model.signatures()})
 
     def feature_owner(self, index):
         """(signature, label) that owns a feature index."""

@@ -105,7 +105,11 @@ class Trainer:
         """Run one structured example through the loop; returns diagnostics."""
         if reference is None:
             reference = task.reference_policy()  # may raise MissingGold
-        learned = self.current_policy()  # frozen for the whole instance
+        # The learned policy reads the live weights, not a copy: no update
+        # runs until every roll-out of this instance is done, so it stays
+        # frozen for the whole instance.
+        learned = core.LinearPolicy(self.learner.weights,
+                                    tie_break=self.tie_break)
         roll_in = reference if self.plan.roll_in == "reference" else learned
 
         # one roll-in pass collecting the states at every decision point
@@ -127,7 +131,7 @@ class Trainer:
             costs = extract_costs(losses)
             examples.append(CostSensitiveExample(feats, costs))
             diag_costs.append([float(c) for c in costs])
-            diag_actions.append(int(np.argmin(losses)))
+            diag_actions.append(core.argmin(losses, "lowest"))
 
         for ex in examples:
             self.learner.update(ex)

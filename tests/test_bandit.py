@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from l2s import bandit, core
+from l2s import bandit, core, rng
 from l2s.errors import LossOutOfRange
 from l2s.theory import shared_feature_chooser, two_level_chooser
+from l2s.tasks import SequenceTask, gen_sequences
 from l2s.theory.exact import ExactModelTask
+from l2s.trainer import RolloutPlan
 
 
 def scaled_model(scale=0.01):
@@ -43,6 +45,35 @@ def test_always_explore_grows_pool():
         assert rec is not None
         assert 0 <= rec["t"] < task.horizon
         assert 0 <= rec["action"] < rec["k"]
+
+
+def test_explore_rounds_match_exploration_step():
+    seed = 7
+    tasks = [SequenceTask(toks, tags, 3, normalize_loss=True)
+             for toks, tags in gen_sequences(5, seed=3, tag_count=3)]
+    state = bandit.BanditState(tasks[0].dimension, epsilon=1.0, seed=seed)
+    explore_rng = rng.substream(seed, rng.EXPLORATION)
+    mixture_rng = rng.substream(seed, rng.MIXTURE)
+    plan = RolloutPlan(roll_in="learned", roll_out="mixture", beta=0.5,
+                       seed=seed)
+    kinds = set()
+    for r in range(20):
+        task = tasks[r % len(tasks)]
+        oracle = lambda end: core.end_loss(task, end)
+        latest = state.latest_policy()
+        state, out = bandit.bandit_step(
+            state, task, oracle, task.reference_policy("bad", seed=seed))
+        assert out.mode == "explored"
+        explore_rng.random()  # the epsilon coin bandit_step draws first
+        _, end, record = bandit.exploration_step(
+            task, latest, task.reference_policy("bad", seed=seed), oracle,
+            explore_rng, mixture_rng, plan)
+        assert record == out.exploration_record
+        assert task.decode(end) == out.prediction
+        assert 0.0 <= record["loss"] <= 1.0
+        kinds.add(record["rollout"])
+    assert kinds == {"reference", "learned"}
+    assert state.learner.weights.any()
 
 
 def test_never_explore_never_mutates():

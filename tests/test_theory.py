@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from l2s import theory
+from l2s.core import LinearPolicy, StateRef, act
 from l2s.errors import DataFormatError, L2SError, TooLarge, TraceIncomplete
 from l2s.theory import (
     TablePolicy,
@@ -218,6 +219,25 @@ def test_learned_slot_policy_matches_weights():
     pol = task.learned_slot_policy(w)
     assert pol.slots[("a", "b")] == 1
     assert pol.slots[("c", "d")] == 0  # zero-weight tie -> lowest slot
+
+
+def test_learned_slot_policy_agrees_with_act():
+    g = np.random.default_rng(11)
+    ties = 0
+    for model in random_models(4, 20):
+        task = ExactModelTask(model)
+        # integer weights, so distinct labels tie as well as equal ones
+        w = np.round(g.normal(size=task.dimension))
+        for tb in ("lowest", "highest"):
+            pol = task.learned_slot_policy(w, tie_break=tb)
+            for s in model.nonterminal_states():
+                state = StateRef(0, model.depths[s], s)
+                scores = [w[task.slot_feature(s, i)]
+                          for i in range(len(model.edges[s]))]
+                ties += scores.count(min(scores)) > 1
+                assert pol.slot_distribution(model, s) == [
+                    (act(LinearPolicy(w, tb), task.action_features(state)), 1.0)]
+    assert ties > 0
 
 
 # -- hypercube lower bound --
