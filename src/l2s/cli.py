@@ -25,20 +25,31 @@ from .tasks import (
 )
 
 
-def _resolved_config(config_path, overrides):
+def _config_and_data(config_path, overrides):
+    """The resolved config and the dataset its `data` path names."""
     mapping = experiment.read_config(config_path) if config_path else {}
     for key, value in overrides.items():
         if value is not None:
             mapping[key] = value
-    return experiment.build_config(mapping)
+    cfg = experiment.build_config(mapping)
+    if not cfg.data:
+        raise BadConfig("data path is required")
+    return cfg, experiment.load_dataset(cfg.task, cfg.data)
 
 
-def _fail(exc):
-    if isinstance(exc, DataFormatError):
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(2)
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(1)
+class _ErrorBoundary(click.Group):
+    """Ends any subcommand's DataFormatError in exit code 2 and any other
+    L2SError or OSError in exit code 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DataFormatError as exc:
+            click.echo(f"data error: {exc}", err=True)
+            sys.exit(2)
+        except (L2SError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
 
 def config_options(fn):
@@ -50,7 +61,7 @@ def config_options(fn):
     return fn
 
 
-@click.group()
+@click.group(cls=_ErrorBoundary)
 def main():
     """Learning-to-search structured prediction toolkit."""
 
@@ -65,34 +76,28 @@ def main():
               help="optional JSON-lines per-instance diagnostics")
 def train(config_path, out, history_out, diagnostics_out, **overrides):
     """Train a model on a dataset and save it."""
-    try:
-        cfg = _resolved_config(config_path, overrides)
-        if not cfg.data:
-            raise BadConfig("data path is required")
-        dataset = experiment.load_dataset(cfg.task, cfg.data)
-        chash = experiment.config_hash(cfg)
-        diag_fh = open(diagnostics_out, "w") if diagnostics_out else None
+    cfg, dataset = _config_and_data(config_path, overrides)
+    chash = experiment.config_hash(cfg)
+    diag_fh = open(diagnostics_out, "w") if diagnostics_out else None
 
-        def on_instance(diag):
-            if diag_fh:
-                diag_fh.write(json.dumps({"config": chash, **diag}) + "\n")
-
-        trainer = experiment.train(dataset, cfg.plan(), cfg.passes,
-                                   quality=cfg.reference_quality,
-                                   eta0=cfg.eta0, seed=cfg.seed,
-                                   record_history=bool(history_out),
-                                   on_instance=on_instance)
+    def on_instance(diag):
         if diag_fh:
-            diag_fh.close()
-        trainer.learner.save(out)
-        if history_out:
-            np.savez_compressed(history_out, config=chash,
-                                snapshots=np.stack(trainer.history))
-        click.echo(f"config {chash}: trained on "
-                   f"{len(dataset.records)} instances x {cfg.passes} passes; "
-                   f"model -> {out}")
-    except (L2SError, OSError) as exc:
-        _fail(exc)
+            diag_fh.write(json.dumps({"config": chash, **diag}) + "\n")
+
+    trainer = experiment.train(dataset, cfg.plan(), cfg.passes,
+                               quality=cfg.reference_quality,
+                               eta0=cfg.eta0, seed=cfg.seed,
+                               record_history=bool(history_out),
+                               on_instance=on_instance)
+    if diag_fh:
+        diag_fh.close()
+    trainer.learner.save(out)
+    if history_out:
+        np.savez_compressed(history_out, config=chash,
+                            snapshots=np.stack(trainer.history))
+    click.echo(f"config {chash}: trained on "
+               f"{len(dataset.records)} instances x {cfg.passes} passes; "
+               f"model -> {out}")
 
 
 @main.command("eval")
@@ -104,25 +109,19 @@ def train(config_path, out, history_out, diagnostics_out, **overrides):
               help="evaluate the averaged policy from a snapshot archive")
 def eval_cmd(config_path, model_path, history_path, **overrides):
     """Evaluate a saved model on a dataset; prints the task metric."""
-    try:
-        cfg = _resolved_config(config_path, overrides)
-        if not cfg.data:
-            raise BadConfig("data path is required")
-        if not model_path and not history_path:
-            raise BadConfig("either --model or --history is required")
-        dataset = experiment.load_dataset(cfg.task, cfg.data)
-        if history_path:
-            archive = np.load(history_path)
-            from .trainer import AveragedPolicy
-            policy = AveragedPolicy(list(archive["snapshots"][1:]),
-                                    rng.substream(cfg.seed, rng.AVERAGING))
-        else:
-            learner = CostSensitiveLearner.load(model_path)
-            policy = learner.policy()
-        name, value = experiment.evaluate(dataset, policy)
-        click.echo(f"{name} {value:.6f}")
-    except (L2SError, OSError) as exc:
-        _fail(exc)
+    if not model_path and not history_path:
+        raise BadConfig("either --model or --history is required")
+    cfg, dataset = _config_and_data(config_path, overrides)
+    if history_path:
+        archive = np.load(history_path)
+        from .trainer import AveragedPolicy
+        policy = AveragedPolicy(list(archive["snapshots"][1:]),
+                                rng.substream(cfg.seed, rng.AVERAGING))
+    else:
+        learner = CostSensitiveLearner.load(model_path)
+        policy = learner.policy()
+    name, value = experiment.evaluate(dataset, policy)
+    click.echo(f"{name} {value:.6f}")
 
 
 @main.command()
@@ -131,32 +130,26 @@ def eval_cmd(config_path, model_path, history_path, **overrides):
               help="machine-readable JSON grid report")
 def grid(config_path, out, **overrides):
     """Run all six roll-in x roll-out combinations and tabulate them."""
-    try:
-        cfg = _resolved_config(config_path, overrides)
-        if not cfg.data:
-            raise BadConfig("data path is required")
-        dataset = experiment.load_dataset(cfg.task, cfg.data)
-        if cfg.test_data:
-            train_set = dataset
-            test_set = experiment.load_dataset(cfg.task, cfg.test_data)
-        else:
-            train_set, test_set = experiment.split_dataset(dataset)
-        report = experiment.run_grid(train_set, test_set, cfg)
-        click.echo(experiment.render_grid(report))
-        if out:
-            payload = {
-                "metric": report.metric,
-                "higher_is_better": report.higher_is_better,
-                "config_hash": report.config_hash,
-                "cells": [{"roll_in": c.roll_in, "roll_out": c.roll_out,
-                           "seed": c.seed, "value": c.value}
-                          for c in report.cells],
-            }
-            with open(out, "w") as fh:
-                json.dump(payload, fh, indent=2)
-            click.echo(f"report -> {out}")
-    except (L2SError, OSError) as exc:
-        _fail(exc)
+    cfg, dataset = _config_and_data(config_path, overrides)
+    if cfg.test_data:
+        train_set = dataset
+        test_set = experiment.load_dataset(cfg.task, cfg.test_data)
+    else:
+        train_set, test_set = experiment.split_dataset(dataset)
+    report = experiment.run_grid(train_set, test_set, cfg)
+    click.echo(experiment.render_grid(report))
+    if out:
+        payload = {
+            "metric": report.metric,
+            "higher_is_better": report.higher_is_better,
+            "config_hash": report.config_hash,
+            "cells": [{"roll_in": c.roll_in, "roll_out": c.roll_out,
+                       "seed": c.seed, "value": c.value}
+                      for c in report.cells],
+        }
+        with open(out, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        click.echo(f"report -> {out}")
 
 
 @main.command("bandit")
@@ -171,41 +164,35 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     The policies and the (gold-free) reference never see the labels; the
     seeded-random 'bad' reference quality is used for roll-outs.
     """
-    try:
-        cfg = _resolved_config(config_path, overrides)
-        if not cfg.data:
-            raise BadConfig("data path is required")
-        dataset = experiment.load_dataset(cfg.task, cfg.data)
-        state = banditmod.BanditState(
-            experiment.task_dimension(dataset), epsilon=epsilon,
-            beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)
-        pick = rng.substream(cfg.seed, rng.DATA)
-        log_fh = open(log_out, "w") if log_out else None
-        exploit_losses = []
-        for round_id in range(rounds):
-            i = int(pick.integers(len(dataset.records)))
-            task = experiment.make_task(dataset, i, normalize_loss=True)
-            reference = task.reference_policy("bad", seed=cfg.seed)
-            state, outcome = banditmod.bandit_step(
-                state, task, lambda end: core.end_loss(task, end), reference)
-            if outcome.mode == "exploited":
-                exploit_losses.append(outcome.observed_loss)
-            if log_fh:
-                entry = {"round": round_id, "instance": i,
-                         "mode": outcome.mode,
-                         "loss": outcome.observed_loss}
-                if outcome.exploration_record:
-                    entry.update({k: outcome.exploration_record[k]
-                                  for k in ("t", "action", "k", "rollout")})
-                log_fh.write(json.dumps(entry) + "\n")
+    cfg, dataset = _config_and_data(config_path, overrides)
+    state = banditmod.BanditState(
+        experiment.task_dimension(dataset), epsilon=epsilon,
+        beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)
+    pick = rng.substream(cfg.seed, rng.DATA)
+    log_fh = open(log_out, "w") if log_out else None
+    exploit_losses = []
+    for round_id in range(rounds):
+        i = int(pick.integers(len(dataset.records)))
+        task = experiment.make_task(dataset, i, normalize_loss=True)
+        reference = task.reference_policy("bad", seed=cfg.seed)
+        state, outcome = banditmod.bandit_step(
+            state, task, lambda end: core.end_loss(task, end), reference)
+        if outcome.mode == "exploited":
+            exploit_losses.append(outcome.observed_loss)
         if log_fh:
-            log_fh.close()
-        window = exploit_losses[-100:]
-        avg = sum(window) / len(window) if window else float("nan")
-        click.echo(f"rounds {rounds}  explored {state.n_explore}  "
-                   f"exploit-loss (last {len(window)}): {avg:.4f}")
-    except (L2SError, OSError) as exc:
-        _fail(exc)
+            entry = {"round": round_id, "instance": i,
+                     "mode": outcome.mode,
+                     "loss": outcome.observed_loss}
+            if outcome.exploration_record:
+                entry.update({k: outcome.exploration_record[k]
+                              for k in ("t", "action", "k", "rollout")})
+            log_fh.write(json.dumps(entry) + "\n")
+    if log_fh:
+        log_fh.close()
+    window = exploit_losses[-100:]
+    avg = sum(window) / len(window) if window else float("nan")
+    click.echo(f"rounds {rounds}  explored {state.n_explore}  "
+               f"exploit-loss (last {len(window)}): {avg:.4f}")
 
 
 # -- exact-check suites --
@@ -285,10 +272,7 @@ def counterexamples(eps, rounds):
 @click.option("--horizon", "-T", default=3, type=int)
 def snake(horizon):
     """Exponential local-search lower bound via hypercube induced paths."""
-    try:
-        bits, updates = theory.snake_lower_bound(horizon)
-    except L2SError as exc:
-        _fail(exc)
+    bits, updates = theory.snake_lower_bound(horizon)
     _report(f"snake-T{horizon}", True,
             f"{updates} updates along {'->'.join(bits)}")
 
@@ -324,18 +308,15 @@ def unbiasedness(trials, beta, seed):
 @click.option("--out", required=True, type=click.Path())
 def gen_data(kind, count, seed, out):
     """Write a seeded synthetic dataset in the on-disk format."""
-    try:
-        if kind == "sequence":
-            data = gen_sequences(count, seed)
-            write_sentences(out, [(toks, tags, None) for toks, tags in data])
-        elif kind == "parse":
-            data = gen_trees(count, seed)
-            write_sentences(out, [(toks, None, heads) for toks, heads in data])
-        else:
-            write_multiclass(out, gen_multiclass(count, seed))
-        click.echo(f"{count} {kind} instances -> {out}")
-    except OSError as exc:
-        _fail(exc)
+    if kind == "sequence":
+        data = gen_sequences(count, seed)
+        write_sentences(out, [(toks, tags, None) for toks, tags in data])
+    elif kind == "parse":
+        data = gen_trees(count, seed)
+        write_sentences(out, [(toks, None, heads) for toks, heads in data])
+    else:
+        write_multiclass(out, gen_multiclass(count, seed))
+    click.echo(f"{count} {kind} instances -> {out}")
 
 
 def entry():

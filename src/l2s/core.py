@@ -57,7 +57,8 @@ class SearchTask(ABC):
 
     @abstractmethod
     def action_features(self, state):
-        """One SparseFeatures per live action, in action order."""
+        """The state's sparse.ActionFeatures: one block id per live
+        action, in action order."""
 
     @abstractmethod
     def terminal_loss(self, state) -> float:
@@ -80,12 +81,11 @@ class Policy(ABC):
         ...
 
 
-def act(policy, per_action_features):
-    """Argmin of predicted costs over per-action feature vectors."""
-    if not per_action_features:
+def act(policy, features):
+    """Argmin of `features.scores(policy.weights)` (an ActionFeatures)."""
+    if not features:
         raise EmptyActionSet("no actions to choose from")
-    scores = [sparse.dot(policy.weights, f) for f in per_action_features]
-    return argmin(scores, policy.tie_break)
+    return argmin(features.scores(policy.weights), policy.tie_break)
 
 
 def argmin(scores, tie_break):
@@ -96,7 +96,7 @@ def argmin(scores, tie_break):
 
 
 class LinearPolicy(Policy):
-    """Scores each action by dot(weights, features) and takes the argmin.
+    """Scores each action through its ActionFeatures and takes the argmin.
 
     Ties are broken by `tie_break`: "lowest" (default) or "highest"
     action index.
@@ -114,7 +114,7 @@ class LinearPolicy(Policy):
 class TrajectoryStep:
     state: StateRef
     action: int
-    per_action_features: list
+    per_action_features: sparse.ActionFeatures
 
 
 @dataclass

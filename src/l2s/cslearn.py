@@ -14,21 +14,25 @@ import numpy as np
 
 from . import sparse
 from .core import LinearPolicy, act, argmin
-from .errors import DimensionMismatch, EmptyActionSet, NonFiniteCost, L2SError
+from .errors import (
+    Diverged, DimensionMismatch, EmptyActionSet, NonFiniteCost, L2SError)
 
 MAGIC = b"CSLEARN1"
 FORMAT_VERSION = 1
+# version, dimension, eta0, update count
+HEADER = struct.Struct("<IQdQ")
 
 
 @dataclass
 class CostSensitiveExample:
-    """Per-decision-point record: K feature vectors and a K-dim cost vector.
+    """Per-decision-point record: the state's K-action ActionFeatures and
+    a K-dim cost vector.
 
     Examples extracted from rollouts have min(costs) == 0; raw
     importance-weighted bandit examples may not and carry raw=True.
     """
 
-    per_action_features: list
+    per_action_features: sparse.ActionFeatures
     costs: np.ndarray
     raw: bool = False
 
@@ -67,14 +71,13 @@ class OnlineRegressor:
     def dimension(self):
         return len(self.weights)
 
-    def predict(self, features):
-        return sparse.dot(self.weights, features)
-
-    def step(self, features, cost, lr):
-        # w -= lr * 2 * (w.x - c) * x, touching only the live indices
-        g = 2.0 * lr * (self.predict(features) - cost)
+    def step(self, features, cost, lr, offset=0):
+        # w -= lr * 2 * (w.x - c) * x on the block at `offset`, live indices only
+        g = 2.0 * lr * (sparse.dot(self.weights, features, offset) - cost)
+        if not math.isfinite(g):
+            raise Diverged(f"update step {g} at learning rate {lr}")
         for i, v in features.pairs:
-            self.weights[i] -= g * v
+            self.weights[offset + i] -= g * v
 
 
 class CostSensitiveLearner:
@@ -96,8 +99,7 @@ class CostSensitiveLearner:
 
     def predict(self, example):
         """Argmin of predicted costs; ties go to the lowest action index."""
-        scores = [self.regressor.predict(f) for f in example.per_action_features]
-        return argmin(scores, "lowest")
+        return argmin(example.per_action_features.scores(self.weights), "lowest")
 
     def update(self, example):
         """One sequential gradient pass over the example's (x, c) pairs.
@@ -113,8 +115,9 @@ class CostSensitiveLearner:
             self.ledger.examples.append(example)
         self.updates += 1
         lr = self.regressor.eta0 / math.sqrt(self.updates)
-        for f, c in zip(example.per_action_features, example.costs):
-            self.regressor.step(f, float(c), lr)
+        f = example.per_action_features
+        for b, c in zip(f.blocks, example.costs):
+            self.regressor.step(f.shared, float(c), lr, b * f.shared.dimension)
 
     def policy(self, tie_break="lowest"):
         """Snapshot of the current argmin policy (weights copied)."""
@@ -142,7 +145,7 @@ class CostSensitiveLearner:
     def save(self, path):
         with open(path, "wb") as fh:
             fh.write(MAGIC)
-            fh.write(struct.pack("<IQdQ", FORMAT_VERSION, self.dimension,
+            fh.write(HEADER.pack(FORMAT_VERSION, self.dimension,
                                  self.regressor.eta0, self.updates))
             fh.write(self.weights.astype("<f8").tobytes())
 
@@ -152,10 +155,19 @@ class CostSensitiveLearner:
             magic = fh.read(len(MAGIC))
             if magic != MAGIC:
                 raise L2SError(f"bad model file magic {magic!r}")
-            version, d, eta0, updates = struct.unpack("<IQdQ", fh.read(28))
+            header = fh.read(HEADER.size)
+            if len(header) != HEADER.size:
+                raise L2SError(f"model header truncated to {len(header)} bytes")
+            version, d, eta0, updates = HEADER.unpack(header)
             if version != FORMAT_VERSION:
                 raise L2SError(f"unsupported model format version {version}")
-            w = np.frombuffer(fh.read(8 * d), dtype="<f8").copy()
+            payload = fh.read()
+        if len(payload) != 8 * d:
+            raise L2SError(f"model holds {len(payload)} weight bytes, "
+                           f"header says {d} weights")
+        w = np.frombuffer(payload, dtype="<f8").copy()
+        if not np.all(np.isfinite(w)):
+            raise L2SError("model has non-finite weights")
         learner = cls(d, eta0)
         learner.regressor.weights = w
         learner.updates = updates

@@ -29,6 +29,10 @@ class NonFiniteCost(L2SError):
     """A cost or loss value was NaN or infinite."""
 
 
+class Diverged(L2SError):
+    """A learner update step was NaN or infinite (eta0 too large)."""
+
+
 class MissingGold(L2SError):
     """An operation needing gold labels ran on an unlabeled instance."""
 

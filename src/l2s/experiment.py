@@ -7,12 +7,13 @@ same data order and differs only in strategy.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import core, rng
-from .errors import BadConfig, ModelTaskMismatch
+from .errors import BadConfig, DataFormatError, ModelTaskMismatch
 from .trainer import (
     ROLL_IN_CHOICES,
     ROLL_OUT_CHOICES,
@@ -25,6 +26,7 @@ from .tasks import (
     SequenceTask,
     read_multiclass,
     read_sentences,
+    sequence,
 )
 
 TASK_KINDS = ("sequence", "multiclass", "parse")
@@ -62,6 +64,8 @@ class ExperimentConfig:
         if self.reference_quality not in REFERENCE_QUALITIES:
             raise BadConfig(
                 f"reference_quality must be one of {REFERENCE_QUALITIES}")
+        if not 0.0 < self.eta0 < math.inf:
+            raise BadConfig(f"eta0 {self.eta0} must be positive and finite")
         # plan validation re-checks roll_in/roll_out/beta/draw_granularity
         self.plan()
 
@@ -122,18 +126,26 @@ class Dataset:
 
 
 def load_dataset(kind, path):
+    """A data file's records; a file without instances, or with an
+    instance lacking gold labels, is a DataFormatError."""
     if kind == "multiclass":
-        examples = read_multiclass(path)
-        k = len(examples[0][1]) if examples else 0
-        return Dataset(kind, examples, {"label_count": k})
-    sentences = read_sentences(path)
+        records = read_multiclass(path)
+    elif kind in ("sequence", "parse"):
+        column, what = (1, "tags") if kind == "sequence" else (2, "heads")
+        records = [(s[0], s[column]) for s in read_sentences(path)]
+        for no, (_, gold) in enumerate(records, 1):
+            if gold is None:
+                raise DataFormatError(f"{path}: sentence {no} has no gold {what}")
+    else:
+        raise BadConfig(f"unknown task kind {kind!r}")
+    if not records:
+        raise DataFormatError(f"{path}: no instances")
+    if kind == "multiclass":
+        return Dataset(kind, records, {"label_count": len(records[0][1])})
     if kind == "sequence":
-        records = [(toks, tags) for toks, tags, _ in sentences]
         tag_count = 1 + max(t for _, tags in records for t in tags)
         return Dataset(kind, records, {"tag_count": tag_count})
-    if kind == "parse":
-        return Dataset(kind, [(toks, heads) for toks, _, heads in sentences])
-    raise BadConfig(f"unknown task kind {kind!r}")
+    return Dataset(kind, records)
 
 
 def split_dataset(dataset, holdout_fraction=0.2):
@@ -160,6 +172,19 @@ def make_task(dataset, index, normalize_loss=False):
 
 def task_dimension(dataset):
     return make_task(dataset, 0).dimension
+
+
+def _for_model(dataset, policy):
+    """`dataset` with the tag count of a sequence policy's weights, so a
+    held-out file lacking the top tags is still scored; a file with a tag
+    beyond the model's keeps its own count, and so its mismatch."""
+    weights = getattr(policy, "weights", None)
+    if dataset.kind != "sequence" or weights is None:
+        return dataset
+    tags, rest = divmod(len(weights), 1 << sequence.DEFAULT_BASE_BITS)
+    if rest or tags < dataset.meta["tag_count"]:
+        return dataset
+    return replace(dataset, meta={"tag_count": tags})
 
 
 # -- training and evaluation --
@@ -201,8 +226,8 @@ def evaluate(dataset, policy):
     name, _ = METRICS[dataset.kind]
     total, weight = 0.0, 0
     for i in range(len(dataset.records)):
-        task = make_task(dataset, i)
         pol = policy.sample() if hasattr(policy, "sample") else policy
+        task = make_task(_for_model(dataset, pol), i)
         if getattr(pol, "weights", None) is not None and \
                 len(pol.weights) != task.dimension:
             raise ModelTaskMismatch(

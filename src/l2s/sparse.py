@@ -29,6 +29,29 @@ class SparseFeatures:
             last = i
 
 
+@dataclass(frozen=True)
+class ActionFeatures:
+    """One state's features in the label-dependent block layout: action a
+    reads weight blocks[a] * base + i for each pair (i, v) of `shared`,
+    base = shared.dimension. Block ids may repeat.
+    """
+
+    shared: SparseFeatures
+    blocks: tuple
+    dimension: int
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def scores(self, weights):
+        """Predicted cost of every action, each summed left to right."""
+        if len(weights) != self.dimension:
+            raise DimensionMismatch(
+                f"feature dimension {self.dimension} != weights {len(weights)}")
+        base = self.shared.dimension
+        return [dot(weights, self.shared, b * base) for b in self.blocks]
+
+
 def from_pairs(pairs, dimension):
     """Build SparseFeatures from unsorted (index, value) pairs, summing duplicates."""
     acc = {}
@@ -37,22 +60,12 @@ def from_pairs(pairs, dimension):
     return SparseFeatures(tuple(sorted(acc.items())), dimension)
 
 
-def block_features(pairs, blocks, base, dimension):
-    """The label-dependent block layout: one SparseFeatures per block id
-    in `blocks`, each a copy of `pairs` (sorted indices in [0, base))
-    shifted by block * base.
-    """
-    return [SparseFeatures(tuple((b * base + i, v) for i, v in pairs), dimension)
-            for b in blocks]
-
-
-def dot(weights, features):
-    """Dense-sparse dot product; validates the feature dimension."""
-    if features.dimension != len(weights):
-        raise DimensionMismatch(
-            f"feature dimension {features.dimension} != weights {len(weights)}"
-        )
-    return sum(weights[i] * v for i, v in features.pairs)
+def dot(weights, features, offset=0):
+    """sum(weights[offset + i] * v), left to right, inside `weights`."""
+    if not 0 <= offset <= len(weights) - features.dimension:
+        raise DimensionMismatch(f"features at {offset} + [0, {features.dimension})"
+                                f" outside weights {len(weights)}")
+    return sum(weights[offset + i] * v for i, v in features.pairs)
 
 
 def hash_index(key, base):

@@ -82,8 +82,9 @@ def read_multiclass(path):
                 costs = [float(c) for c in row[1:]]
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=no)
-            if not costs:
-                raise DataFormatError("row has no cost columns", line=no)
+            if len(costs) < 2:
+                raise DataFormatError(
+                    f"row has {len(costs)} cost columns, need at least 2", line=no)
             if k is None:
                 k = len(costs)
             elif len(costs) != k:

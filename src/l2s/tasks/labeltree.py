@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import rng
 from ..core import Policy, SearchTask, StateRef, argmin
-from ..sparse import block_features, hash_index
+from ..sparse import ActionFeatures, from_pairs, hash_index
 
 DEFAULT_BASE_BITS = 14
 
@@ -79,13 +79,9 @@ class LabelTreeTask(SearchTask):
         node = f"n{lo}_{hi}"
         pairs = [(hash_index(node + ":bias", self.base), 1.0)]
         for i, v in self.example_features:
-            pairs.append((hash_index(f"{node}:f{i}", self.base), float(v)))
-        merged = {}
-        for i, v in pairs:
-            merged[i] = merged.get(i, 0.0) + v
-        return block_features(sorted(merged.items()),
-                              range(self.action_count(state)), self.base,
-                              self.dimension)
+            pairs.append((hash_index(f"{node}:f{i}", self.base), v))
+        return ActionFeatures(from_pairs(pairs, self.base),
+                              tuple(range(self.action_count(state))), self.dimension)
 
     def terminal_loss(self, state):
         lo, hi = state.payload

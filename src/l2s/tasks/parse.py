@@ -15,7 +15,7 @@ the gold arcs an action makes unreachable (see its docstring).
 from .. import rng
 from ..core import Policy, SearchTask, StateRef, argmin
 from ..errors import MissingGold
-from ..sparse import block_features, hash_index
+from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
 SHIFT, REDUCE_LEFT, REDUCE_RIGHT = 0, 1, 2
 ACTION_NAMES = ("shift", "reduce_left", "reduce_right")
@@ -111,9 +111,8 @@ class ParseTask(SearchTask):
         ]
         idx = sorted({hash_index(k, self.base) for k in keys})
         # one base block per global action id, not per legal-action slot
-        return block_features([(i, 1.0) for i in idx],
-                              self._legal(state.payload), self.base,
-                              self.dimension)
+        return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),
+                              tuple(self._legal(state.payload)), self.dimension)
 
     def predicted_heads(self, state):
         """Heads at an end state; the lone stack survivor attaches to root."""

@@ -3,7 +3,7 @@
 from .. import rng
 from ..core import Policy, SearchTask, StateRef
 from ..errors import MissingGold
-from ..sparse import block_features, hash_index
+from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
 DEFAULT_BASE_BITS = 15
 
@@ -54,9 +54,8 @@ class SequenceTask(SearchTask):
 
     def action_features(self, state):
         idx = sorted({hash_index(k, self.base) for k in self._base_keys(state)})
-        return block_features([(i, 1.0) for i in idx],
-                              range(self.action_count(state)), self.base,
-                              self.dimension)
+        return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),
+                              tuple(range(self.action_count(state))), self.dimension)
 
     def terminal_loss(self, state):
         if self.gold_tags is None:

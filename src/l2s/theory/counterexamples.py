@@ -21,7 +21,7 @@ from .exact import (
 
 def _expected_example_cost(model, task, policy, example):
     """Expected cost a (possibly stochastic) class policy pays on an example."""
-    sig, _ = task.feature_owner(example.per_action_features[0].pairs[0][0])
+    sig, _ = task.feature_owner(example.per_action_features.blocks[0])
     dist = policy.slot_distribution(model, _any_state_with_sig(model, sig))
     return sum(p * float(example.costs[slot]) for slot, p in dist)
 
@@ -72,7 +72,7 @@ def reference_rollin_failure(model, rounds=40, tie_break="lowest", seed=0):
                                             tie_break=tie_break)
     visited = set()
     for ex in stream:
-        sig, _ = task.feature_owner(ex.per_action_features[0].pairs[0][0])
+        sig, _ = task.feature_owner(ex.per_action_features.blocks[0])
         visited.add(sig)
     all_sigs = set(model.signatures())
 

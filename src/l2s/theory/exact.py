@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..core import SearchTask, StateRef, Policy, argmin
 from ..errors import DataFormatError, IllegalAction, L2SError
-from ..sparse import SparseFeatures
+from ..sparse import ActionFeatures, SparseFeatures
 
 
 @dataclass
@@ -223,6 +223,11 @@ class ExactModelTask(SearchTask):
             for label in sorted(set(sig)):
                 self.feature_index.setdefault((sig, label), len(self.feature_index))
         self.dimension = len(self.feature_index)
+        # base 1: slot i of a signature reads the (sig, sig[i]) weight
+        self.signature_features = {
+            sig: ActionFeatures(SparseFeatures(((0, 1.0),), 1), tuple(
+                self.feature_index[(sig, label)] for label in sig), self.dimension)
+            for sig in model.signatures()}
         self.action_arity_bound = max(
             (len(e) for e in model.edges.values()), default=1)
 
@@ -243,12 +248,7 @@ class ExactModelTask(SearchTask):
         return self.feature_index[(sig, sig[slot])]
 
     def action_features(self, state):
-        sig = self.model.signature(state.payload)
-        feats = []
-        for slot, label in enumerate(sig):
-            idx = self.feature_index[(sig, label)]
-            feats.append(SparseFeatures(((idx, 1.0),), self.dimension))
-        return feats
+        return self.signature_features[self.model.signature(state.payload)]
 
     def terminal_loss(self, state):
         return self.model.losses[state.payload]
@@ -259,9 +259,8 @@ class ExactModelTask(SearchTask):
     def learned_slot_policy(self, weights, tie_break="lowest"):
         """The deterministic SlotPolicy a weight vector induces."""
         return SlotPolicy({
-            sig: argmin([weights[self.feature_index[(sig, label)]]
-                         for label in sig], tie_break)
-            for sig in self.model.signatures()})
+            sig: argmin(features.scores(weights), tie_break)
+            for sig, features in self.signature_features.items()})
 
     def feature_owner(self, index):
         """(signature, label) that owns a feature index."""

@@ -13,7 +13,7 @@ import pytest
 from l2s import bandit, core, experiment, theory
 from l2s.cslearn import CostSensitiveExample, CostSensitiveLearner
 from l2s.experiment import Dataset, build_config, run_grid, split_dataset
-from l2s.sparse import SparseFeatures
+from l2s.sparse import ActionFeatures, SparseFeatures
 from l2s.tasks import gen_multiclass, gen_sequences, gen_trees
 from l2s.theory.exact import ExactModelTask
 from l2s.trainer import RolloutPlan
@@ -209,12 +209,12 @@ def test_criterion_8_gradient_and_reproducibility(tmp_path):
         w = g.normal(size=dim)
         idx = np.sort(g.choice(dim, size=4, replace=False))
         pairs = tuple((int(i), float(g.normal())) for i in idx)
-        feats = SparseFeatures(pairs, dim)
+        feats = ActionFeatures(SparseFeatures(pairs, dim), (0,), dim)
         cost = float(g.normal())
         lr = 0.37
         learner = CostSensitiveLearner(dim, eta0=lr)
         learner.regressor.weights[:] = w
-        learner.update(CostSensitiveExample([feats], np.array([cost])))
+        learner.update(CostSensitiveExample(feats, np.array([cost])))
         implied_grad = (w - learner.weights) / lr  # first update: lr = eta0
         eps = 1e-6
         for i, _ in pairs:

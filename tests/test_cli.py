@@ -1,6 +1,8 @@
 """Command-line harness: subcommands, exit codes, reproducibility."""
 
 import json
+import math
+import struct
 
 import pytest
 from click.testing import CliRunner
@@ -163,3 +165,91 @@ def test_failed_check_exits_three():
     with pytest.raises(SystemExit) as e:
         cli._report("demo", False, "forced failure")
     assert e.value.code == 3
+
+
+def train_args(data, kind, out):
+    return ["train", "--task", kind, "--data", str(data), "--out", str(out)]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--eta0", "nan"], "eta0 nan must be positive"),
+    (["--eta0", "inf"], "eta0 inf must be positive"),
+    (["--eta0", "-1"], "eta0 -1.0 must be positive"),
+    (["--eta0", "0"], "eta0 0.0 must be positive"),
+    # finite but so large that the updates diverge
+    (["--eta0", "1000", "--roll-in", "reference", "--roll-out", "reference"],
+     "error: update step"),
+])
+def test_bad_learning_rate_exits_one(runner, tmp_path, flags, message):
+    data = gen(runner, tmp_path, "sequence", 20, "seq.tsv")
+    model = tmp_path / "m.model"
+    r = runner.invoke(cli.main, train_args(data, "sequence", model) + flags)
+    assert r.exit_code == 1, r.output
+    assert message in r.output
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:20],
+    lambda blob: blob[:-8],
+    lambda blob: blob + bytes(8),
+    lambda blob: blob[:-8] + struct.pack("<d", math.nan),
+], ids=["short-header", "short-payload", "long-payload", "nan-weight"])
+def test_damaged_model_file_exits_one(runner, tmp_path, damage):
+    data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
+    model = tmp_path / "m.model"
+    r = runner.invoke(cli.main, train_args(data, "multiclass", model)
+                      + ["--passes", "1"])
+    assert r.exit_code == 0, r.output
+    model.write_bytes(damage(model.read_bytes()))
+    r = runner.invoke(cli.main, ["eval", "--task", "multiclass",
+                                 "--data", str(data), "--model", str(model)])
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error: model")
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("sequence", ""),
+    ("parse", ""),
+    ("multiclass", ""),
+    ("sequence", "a\t\t0\nb\t\t1\n"),     # no gold tags
+    ("parse", "a\t0\t\nb\t1\t\n"),        # no gold heads
+    ("multiclass", "1:1.0,0.5\n"),        # one cost column
+])
+def test_unusable_data_file_exits_two(runner, tmp_path, kind, text):
+    data = tmp_path / "data.txt"
+    data.write_text(text)
+    for args in (train_args(data, kind, tmp_path / "m.model"),
+                 ["grid", "--task", kind, "--data", str(data)],
+                 ["bandit", "--task", kind, "--data", str(data)]):
+        r = runner.invoke(cli.main, args)
+        assert r.exit_code == 2, r.output
+        assert r.output.startswith("data error:")
+
+
+@pytest.mark.parametrize("held_out_tags,code", [
+    ((0, 1, 2), 0),      # lacks the model's top tag: scored
+    ((0, 1, 2, 3, 4), 1),  # a tag beyond the model's: mismatch
+])
+def test_held_out_file_scored_with_model_tag_count(runner, tmp_path,
+                                                   held_out_tags, code):
+    from l2s.tasks import write_sentences
+
+    def sentences(tags):
+        return [([f"w{t}" for t in row], list(row), None)
+                for row in (tags, tags[::-1])]
+
+    train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+    write_sentences(train, sentences((0, 1, 2, 3)))
+    write_sentences(test, sentences(held_out_tags))
+    model = tmp_path / "m.model"
+    r = runner.invoke(cli.main, train_args(train, "sequence", model)
+                      + ["--passes", "1"])
+    assert r.exit_code == 0, r.output
+    for args in (["eval", "--task", "sequence", "--data", str(test),
+                  "--model", str(model)],
+                 ["grid", "--task", "sequence", "--data", str(train),
+                  "--test-data", str(test), "--passes", "1"]):
+        r = runner.invoke(cli.main, args)
+        assert r.exit_code == code, r.output
+        assert ("dimension" in r.output) == (code == 1)

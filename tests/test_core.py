@@ -10,7 +10,7 @@ from l2s.errors import (
     NoLegalAction,
     NotTerminal,
 )
-from l2s.sparse import SparseFeatures
+from l2s.sparse import ActionFeatures, SparseFeatures
 from l2s.tasks import SequenceTask
 
 
@@ -29,13 +29,13 @@ def test_state_ref_frozen_and_hashable():
 def test_linear_policy_argmin():
     # scores: action0 -> w[0] = 3, action1 -> w[1] = -1 => argmin is 1
     w = np.array([3.0, -1.0])
-    feats = [SparseFeatures(((0, 1.0),), 2), SparseFeatures(((1, 1.0),), 2)]
+    feats = ActionFeatures(SparseFeatures(((0, 1.0),), 1), (0, 1), 2)
     assert core.act(core.LinearPolicy(w), feats) == 1
 
 
 def test_tie_breaks():
     w = np.zeros(2)
-    feats = [SparseFeatures(((0, 1.0),), 2), SparseFeatures(((1, 1.0),), 2)]
+    feats = ActionFeatures(SparseFeatures(((0, 1.0),), 1), (0, 1), 2)
     assert core.act(core.LinearPolicy(w, tie_break="lowest"), feats) == 0
     assert core.act(core.LinearPolicy(w, tie_break="highest"), feats) == 1
 

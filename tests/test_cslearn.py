@@ -16,15 +16,16 @@ from l2s.errors import (
     L2SError,
     NonFiniteCost,
 )
-from l2s.sparse import SparseFeatures
+from l2s.sparse import ActionFeatures, SparseFeatures
 
 
-def f(index, dim=4, value=1.0):
-    return SparseFeatures(((index, value),), dim)
+def f(*blocks, dim=4, value=1.0):
+    """Action a reads weight blocks[a] with `value`."""
+    return ActionFeatures(SparseFeatures(((0, value),), 1), blocks, dim)
 
 
 def ex(costs, dim=4):
-    feats = [f(i, dim) for i in range(len(costs))]
+    feats = f(*range(len(costs)), dim=dim)
     return CostSensitiveExample(feats, np.asarray(costs, dtype=float))
 
 
@@ -32,9 +33,9 @@ def test_example_validation():
     with pytest.raises(EmptyActionSet):
         CostSensitiveExample([], np.array([]))
     with pytest.raises(DimensionMismatch):
-        CostSensitiveExample([f(0)], np.array([1.0, 2.0]))
+        CostSensitiveExample(f(0), np.array([1.0, 2.0]))
     with pytest.raises(NonFiniteCost):
-        CostSensitiveExample([f(0)], np.array([np.nan]))
+        CostSensitiveExample(f(0), np.array([np.nan]))
 
 
 def test_predict_argmin_ties_lowest():
@@ -55,7 +56,7 @@ def test_sequential_pass_shares_weights():
     # step 1 (cost 1): w0 <- 0 - 2*0.5*(0-1) = 1
     # step 2 (cost 0): w0 <- 1 - 2*0.5*(1-0) = 0
     learner = CostSensitiveLearner(4, eta0=0.5)
-    feats = [f(0), f(0)]
+    feats = f(0, 0)
     learner.update(CostSensitiveExample(feats, np.array([1.0, 0.0])))
     assert learner.weights[0] == pytest.approx(0.0)
 
@@ -138,10 +139,10 @@ def test_update_step_is_gradient_descent():
     # after one step from w, w' = w - lr * 2 (w.x - c) x
     learner = CostSensitiveLearner(4, eta0=0.3)
     learner.regressor.weights[:] = [0.5, -0.2, 0.0, 0.0]
-    feats = SparseFeatures(((0, 2.0), (1, 1.0)), 4)
+    feats = ActionFeatures(SparseFeatures(((0, 2.0), (1, 1.0)), 4), (0,), 4)
     cost = 0.7
     pred = 0.5 * 2.0 + (-0.2) * 1.0
-    learner.update(CostSensitiveExample([feats], np.array([cost])))
+    learner.update(CostSensitiveExample(feats, np.array([cost])))
     lr = 0.3
     assert learner.weights[0] == pytest.approx(0.5 - lr * 2 * (pred - cost) * 2.0)
     assert learner.weights[1] == pytest.approx(-0.2 - lr * 2 * (pred - cost) * 1.0)
@@ -152,7 +153,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     for _ in range(5):
         costs = rng.uniform(size=3)
-        feats = [f(int(i), 8) for i in rng.choice(8, size=3, replace=False)]
+        feats = f(*(int(i) for i in rng.choice(8, size=3, replace=False)), dim=8)
         learner.update(CostSensitiveExample(feats, costs))
     p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
     learner.save(p1)
@@ -169,3 +170,13 @@ def test_load_rejects_bad_magic(tmp_path):
     p.write_bytes(b"NOTAMODEL")
     with pytest.raises(L2SError):
         CostSensitiveLearner.load(p)
+
+
+def test_non_finite_step_raises_before_writing():
+    from l2s.errors import Diverged
+    learner = CostSensitiveLearner(4, eta0=1000.0)
+    learner.regressor.weights[:] = [1e308, 0.0, 0.0, 0.0]
+    before = learner.weights.copy()
+    with pytest.raises(Diverged):
+        learner.update(ex([0.0]))
+    assert np.array_equal(learner.weights, before)

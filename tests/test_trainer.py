@@ -89,7 +89,7 @@ def test_reference_rollin_never_reaches_unvisited_branch():
     model = theory.two_level_chooser()
     plan = RolloutPlan(roll_in="reference", roll_out="reference", seed=0)
     trainer, task, stream, _ = run_rounds(model, plan, 20)
-    visited = {task.feature_owner(e.per_action_features[0].pairs[0][0])[0]
+    visited = {task.feature_owner(e.per_action_features.blocks[0])[0]
                for e in stream}
     assert ("e", "f") not in visited
     assert visited == {("a", "b"), ("c", "d")}
