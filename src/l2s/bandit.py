@@ -16,7 +16,7 @@ import numpy as np
 from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
 from .errors import LossOutOfRange
-from .trainer import RolloutPlan, draw_rollout_policy
+from .trainer import AveragedPolicy, RolloutPlan, draw_rollout_policy
 
 
 @dataclass
@@ -30,12 +30,10 @@ class BanditOutcome:
 class BanditState:
     """Mutable bandit session: learner, explored-policy pool, RNG streams."""
 
-    def __init__(self, dimension, epsilon=0.1, beta=0.5, seed=0, eta0=0.5,
-                 record_examples=False):
+    def __init__(self, dimension, epsilon=0.1, beta=0.5, seed=0, eta0=0.5):
         self.epsilon = epsilon
         self.beta = beta
-        self.learner = CostSensitiveLearner(dimension, eta0,
-                                            record_examples=record_examples)
+        self.learner = CostSensitiveLearner(dimension, eta0)
         self.explored_policies = [self.learner.weights.copy()]
         self.n_explore = 0
         self.explore_rng = rng.substream(seed, rng.EXPLORATION)
@@ -46,10 +44,6 @@ class BanditState:
 
     def latest_policy(self):
         return core.LinearPolicy(self.explored_policies[-1])
-
-    def pool_policy(self):
-        i = int(self.average_rng.integers(len(self.explored_policies)))
-        return core.LinearPolicy(self.explored_policies[i])
 
 
 def importance_weighted_costs(k, taken, loss):
@@ -67,7 +61,7 @@ def bandit_step(state, task, loss_oracle, reference):
     """
     if state.explore_rng.random() < state.epsilon:
         return _explore(state, task, loss_oracle, reference)
-    policy = state.pool_policy()
+    policy = AveragedPolicy(state.explored_policies, state.average_rng).sample()
     traj_end = core.execute(task, policy, task.start_state(), task.horizon)
     loss = _checked_loss(loss_oracle, traj_end)
     return state, BanditOutcome(mode="exploited",
@@ -129,7 +123,7 @@ def epsilon_schedule(k, horizon, n_rounds, policy_class_size):
 
 
 def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
-                       seed=0, tie_break="lowest"):
+                       seed=0):
     """Monte Carlo mean of the importance-weighted cost of `action` versus
     the enumerated expectation over random depth and rollout mixture.
 
@@ -140,7 +134,7 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
 
     task = ex.ExactModelTask(model)
     ref_exact = ex.reference_policy(model)
-    latest_exact = task.learned_slot_policy(latest_weights, tie_break=tie_break)
+    latest_exact = task.learned_slot_policy(latest_weights)
     T = model.horizon
 
     # exact side: mean over depths of E_{s ~ d_t^latest}[Q^mix(s, action)]
@@ -155,7 +149,7 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
                  + (1 - beta) * ex.exact_Q(model, latest_exact, s, action))
             exact_value += p * q / T
     # simulation side: the bandit's own exploration step, never updating
-    latest = core.LinearPolicy(latest_weights, tie_break=tie_break)
+    latest = core.LinearPolicy(latest_weights)
     g = rng.substream(seed, rng.EXPLORATION)
     gm = rng.substream(seed, rng.MIXTURE)
     plan = RolloutPlan(roll_in="learned", roll_out="mixture", beta=beta,

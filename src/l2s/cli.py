@@ -7,6 +7,7 @@ exact-check suite.
 
 import json
 import sys
+import zipfile
 from dataclasses import fields
 
 import click
@@ -16,6 +17,7 @@ from . import bandit as banditmod
 from . import core, experiment, rng, theory
 from .cslearn import CostSensitiveLearner
 from .errors import BadConfig, DataFormatError, L2SError
+from .trainer import AveragedPolicy, RolloutPlan
 from .tasks import (
     gen_multiclass,
     gen_sequences,
@@ -100,6 +102,19 @@ def train(config_path, out, history_out, diagnostics_out, **overrides):
                f"model -> {out}")
 
 
+def _trained_snapshots(path):
+    """The trained policies of a `train --history-out` archive; anything
+    else is an L2SError."""
+    try:
+        with np.load(path) as archive:
+            snapshots = archive["snapshots"]
+    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+        raise L2SError(f"{path} is not a snapshot archive: {exc}")
+    if snapshots.ndim != 2:
+        raise L2SError(f"{path} holds snapshots of shape {snapshots.shape}")
+    return list(snapshots[1:])
+
+
 @main.command("eval")
 @config_options
 @click.option("--model", "model_path", type=click.Path(exists=True),
@@ -113,9 +128,7 @@ def eval_cmd(config_path, model_path, history_path, **overrides):
         raise BadConfig("either --model or --history is required")
     cfg, dataset = _config_and_data(config_path, overrides)
     if history_path:
-        archive = np.load(history_path)
-        from .trainer import AveragedPolicy
-        policy = AveragedPolicy(list(archive["snapshots"][1:]),
+        policy = AveragedPolicy(_trained_snapshots(history_path),
                                 rng.substream(cfg.seed, rng.AVERAGING))
     else:
         learner = CostSensitiveLearner.load(model_path)
@@ -236,7 +249,6 @@ def bound(models, rounds, seed):
     total = 0
     for model in theory.random_models(seed, models):
         for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-            from .trainer import RolloutPlan
             plan = RolloutPlan(roll_in="learned", roll_out="mixture",
                                beta=beta, seed=seed)
             _, task, trace, _ = theory.run_training(model, plan, rounds)

@@ -7,7 +7,7 @@ exactly `horizon` actions.
 """
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import (
     NoLegalAction,
     NotTerminal,
 )
-from . import sparse
 
 
 @dataclass(frozen=True)
@@ -28,7 +27,6 @@ class StateRef:
     replaying the same action sequence reproduces an identical payload.
     """
 
-    instance_id: object
     depth: int
     payload: object
 
@@ -40,8 +38,6 @@ class SearchTask(ABC):
     horizon: int
     #: ambient feature dimension shared with the learner
     dimension: int
-    #: upper bound on actions per state
-    action_arity_bound: int
 
     @abstractmethod
     def start_state(self) -> StateRef:
@@ -110,20 +106,6 @@ class LinearPolicy(Policy):
         return act(self, task.action_features(state))
 
 
-@dataclass
-class TrajectoryStep:
-    state: StateRef
-    action: int
-    per_action_features: sparse.ActionFeatures
-
-
-@dataclass
-class Trajectory:
-    steps: list = field(default_factory=list)
-    end_state: StateRef = None
-    end_loss: float = 0.0
-
-
 def execute(task, policy, from_state, steps):
     """Run `policy` for exactly `steps` transitions and return the new state."""
     if from_state.depth + steps > task.horizon:
@@ -143,19 +125,3 @@ def end_loss(task, terminal):
     if terminal.depth < task.horizon:
         raise NotTerminal(f"depth {terminal.depth} < horizon {task.horizon}")
     return task.terminal_loss(terminal)
-
-
-def run_trajectory(task, policy):
-    """Execute `policy` from the start state, recording every step."""
-    traj = Trajectory()
-    s = task.start_state()
-    for _ in range(task.horizon):
-        if task.action_count(s) == 0:
-            raise NoLegalAction(f"no legal action at depth {s.depth}")
-        feats = task.action_features(s)
-        a = policy.choose(task, s)
-        traj.steps.append(TrajectoryStep(s, a, feats))
-        s = task.transition(s, a)
-    traj.end_state = s
-    traj.end_loss = end_loss(task, s)
-    return traj

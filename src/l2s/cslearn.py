@@ -8,7 +8,7 @@ eta0 / sqrt(m) where m counts update() calls.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,54 +48,25 @@ class CostSensitiveExample:
 
 @dataclass
 class RegretLedger:
-    """Running account of the learner's cumulative cost.
-
-    When `examples` is kept, cs_regret can replay the whole stream
-    against an explicit comparator set.
-    """
+    """Running account of the learner's cumulative cost."""
 
     cum_alg_cost: float = 0.0
     count: int = 0
-    examples: list = field(default_factory=list)
-    chosen: list = field(default_factory=list)
 
 
-class OnlineRegressor:
-    """Dense-weight squared-loss regressor updated by plain OGD."""
+class CostSensitiveLearner:
+    """CSOAA over sparse per-action features with regret accounting: one
+    dense squared-loss regressor updated by plain OGD."""
 
     def __init__(self, dimension, eta0=0.5):
         self.weights = np.zeros(dimension, dtype=np.float64)
         self.eta0 = eta0
+        self.updates = 0
+        self.ledger = RegretLedger()
 
     @property
     def dimension(self):
         return len(self.weights)
-
-    def step(self, features, cost, lr, offset=0):
-        # w -= lr * 2 * (w.x - c) * x on the block at `offset`, live indices only
-        g = 2.0 * lr * (sparse.dot(self.weights, features, offset) - cost)
-        if not math.isfinite(g):
-            raise Diverged(f"update step {g} at learning rate {lr}")
-        for i, v in features.pairs:
-            self.weights[offset + i] -= g * v
-
-
-class CostSensitiveLearner:
-    """CSOAA over sparse per-action features with regret accounting."""
-
-    def __init__(self, dimension, eta0=0.5, record_examples=True):
-        self.regressor = OnlineRegressor(dimension, eta0)
-        self.updates = 0
-        self.ledger = RegretLedger()
-        self.record_examples = record_examples
-
-    @property
-    def dimension(self):
-        return self.regressor.dimension
-
-    @property
-    def weights(self):
-        return self.regressor.weights
 
     def predict(self, example):
         """Argmin of predicted costs; ties go to the lowest action index."""
@@ -110,32 +81,37 @@ class CostSensitiveLearner:
         chosen = self.predict(example)
         self.ledger.cum_alg_cost += float(example.costs[chosen])
         self.ledger.count += 1
-        self.ledger.chosen.append(chosen)
-        if self.record_examples:
-            self.ledger.examples.append(example)
         self.updates += 1
-        lr = self.regressor.eta0 / math.sqrt(self.updates)
+        lr = self.eta0 / math.sqrt(self.updates)
         f = example.per_action_features
         for b, c in zip(f.blocks, example.costs):
-            self.regressor.step(f.shared, float(c), lr, b * f.shared.dimension)
+            # w -= lr * 2 * (w.x - c) * x on block b, live indices only
+            offset = b * f.shared.dimension
+            g = 2.0 * lr * (sparse.dot(self.weights, f.shared, offset) - float(c))
+            if not math.isfinite(g):
+                raise Diverged(f"update step {g} at learning rate {lr}")
+            for i, v in f.shared.pairs:
+                self.weights[offset + i] -= g * v
 
-    def policy(self, tie_break="lowest"):
+    def policy(self):
         """Snapshot of the current argmin policy (weights copied)."""
-        return LinearPolicy(self.weights.copy(), tie_break=tie_break)
+        return LinearPolicy(self.weights.copy())
 
-    def cs_regret(self, comparator_policies):
+    def cs_regret(self, examples, comparator_policies):
         """Cumulative algorithm cost minus the best fixed comparator's cost.
 
-        Comparators are callables example -> action index.
+        `examples` is the stream this learner was updated on, in order;
+        comparators are callables example -> action index.
         """
         if self.ledger.count == 0:
             return 0.0
         if not comparator_policies:
             raise L2SError("comparator set is empty")
-        if not self.ledger.examples:
-            raise L2SError("ledger did not record examples; cannot replay")
+        if len(examples) != self.ledger.count:
+            raise L2SError(f"stream of {len(examples)} examples, "
+                           f"ledger counted {self.ledger.count} updates")
         best = min(
-            sum(float(ex.costs[h(ex)]) for ex in self.ledger.examples)
+            sum(float(ex.costs[h(ex)]) for ex in examples)
             for h in comparator_policies
         )
         return self.ledger.cum_alg_cost - best
@@ -146,7 +122,7 @@ class CostSensitiveLearner:
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(HEADER.pack(FORMAT_VERSION, self.dimension,
-                                 self.regressor.eta0, self.updates))
+                                 self.eta0, self.updates))
             fh.write(self.weights.astype("<f8").tobytes())
 
     @classmethod
@@ -169,7 +145,7 @@ class CostSensitiveLearner:
         if not np.all(np.isfinite(w)):
             raise L2SError("model has non-finite weights")
         learner = cls(d, eta0)
-        learner.regressor.weights = w
+        learner.weights = w
         learner.updates = updates
         return learner
 

@@ -149,9 +149,13 @@ def load_dataset(kind, path):
 
 
 def split_dataset(dataset, holdout_fraction=0.2):
-    """Train/test split: the last fraction of records, by file order."""
+    """Train/test split: the last fraction of records, by file order.
+    Both parts are non-empty, so the data needs at least 2 instances."""
     n = len(dataset.records)
-    cut = n - max(1, int(n * holdout_fraction)) if n > 1 else n
+    if n < 2:
+        raise DataFormatError(f"{n} instance cannot be split into "
+                              "training and held-out data")
+    cut = n - max(1, int(n * holdout_fraction))
     return (replace(dataset, records=dataset.records[:cut]),
             replace(dataset, records=dataset.records[cut:]))
 
@@ -161,13 +165,12 @@ def make_task(dataset, index, normalize_loss=False):
     if dataset.kind == "sequence":
         tokens, tags = record
         return SequenceTask(tokens, tags, dataset.meta["tag_count"],
-                            instance_id=index, normalize_loss=normalize_loss)
+                            normalize_loss=normalize_loss)
     if dataset.kind == "multiclass":
         pairs, costs = record
-        return LabelTreeTask(pairs, costs, dataset.meta["label_count"],
-                             instance_id=index)
+        return LabelTreeTask(pairs, costs, dataset.meta["label_count"])
     tokens, heads = record
-    return ParseTask(tokens, heads, instance_id=index)
+    return ParseTask(tokens, heads)
 
 
 def task_dimension(dataset):

@@ -6,6 +6,7 @@ example: a space-separated "index:value" features field, then k costs.
 """
 
 import csv
+import math
 
 from ..errors import DataFormatError
 
@@ -22,30 +23,46 @@ def write_sentences(path, sentences):
 
 
 def read_sentences(path):
-    """Returns a list of (tokens, tags or None, heads or None)."""
-    sentences = []
-    tokens, tags, heads = [], [], []
+    """Returns a list of (tokens, tags or None, heads or None).
 
-    def flush(line_no):
+    Tags must be non-negative; the head of token i (1-based) must lie in
+    0..n and differ from i.
+    """
+    sentences = []
+    tokens, tags, heads, lines = [], [], [], []
+
+    def ints(cells):
+        """The column's integers, or None when a cell is empty."""
+        if "" in cells:
+            return None
+        values = []
+        for cell, no in zip(cells, lines):
+            try:
+                values.append(int(cell))
+            except ValueError as exc:
+                raise DataFormatError(str(exc), line=no)
+        return values
+
+    def flush():
         if not tokens:
             return
-        has_tags = all(t != "" for t in tags)
-        has_heads = all(h != "" for h in heads)
-        try:
-            sentences.append((
-                list(tokens),
-                [int(t) for t in tags] if has_tags else None,
-                [int(h) for h in heads] if has_heads else None,
-            ))
-        except ValueError as exc:
-            raise DataFormatError(str(exc), line=line_no)
-        tokens.clear(), tags.clear(), heads.clear()
+        n = len(tokens)
+        sent_tags, sent_heads = ints(tags), ints(heads)
+        for i, no in enumerate(lines):
+            if sent_tags and sent_tags[i] < 0:
+                raise DataFormatError(f"tag {sent_tags[i]} is negative", line=no)
+            if sent_heads and not 0 <= sent_heads[i] <= n:
+                raise DataFormatError(f"head {sent_heads[i]} outside 0..{n}", line=no)
+            if sent_heads and sent_heads[i] == i + 1:
+                raise DataFormatError(f"token {i + 1} is its own head", line=no)
+        sentences.append((list(tokens), sent_tags, sent_heads))
+        tokens.clear(), tags.clear(), heads.clear(), lines.clear()
 
     with open(path, encoding="utf-8") as fh:
         for no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
-                flush(no)
+                flush()
                 continue
             cols = line.split("\t")
             if len(cols) != 3:
@@ -53,7 +70,8 @@ def read_sentences(path):
             tokens.append(cols[0])
             tags.append(cols[1])
             heads.append(cols[2])
-        flush(no if sentences or tokens else 0)
+            lines.append(no)
+        flush()
     return sentences
 
 
@@ -82,6 +100,8 @@ def read_multiclass(path):
                 costs = [float(c) for c in row[1:]]
             except ValueError as exc:
                 raise DataFormatError(str(exc), line=no)
+            if not all(map(math.isfinite, [v for _, v in pairs] + costs)):
+                raise DataFormatError("non-finite feature value or cost", line=no)
             if len(costs) < 2:
                 raise DataFormatError(
                     f"row has {len(costs)} cost columns, need at least 2", line=no)

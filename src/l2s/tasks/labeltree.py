@@ -44,21 +44,19 @@ def leaf_path(k, label):
 class LabelTreeTask(SearchTask):
     """One cost-sensitive example as a root-to-leaf search problem."""
 
-    def __init__(self, features, costs, label_count, instance_id=0,
+    def __init__(self, features, costs, label_count,
                  base_bits=DEFAULT_BASE_BITS):
         if label_count < 2:
             raise ValueError("need at least 2 labels")
         self.example_features = list(features)  # (index, value) pairs
         self.costs = np.asarray(costs, dtype=np.float64)
         self.k = label_count
-        self.instance_id = instance_id
         self.base = 1 << base_bits
         self.horizon = math.ceil(math.log2(label_count))
         self.dimension = 2 * self.base
-        self.action_arity_bound = 2
 
     def start_state(self):
-        return StateRef(self.instance_id, 0, (0, self.k - 1))
+        return StateRef(0, (0, self.k - 1))
 
     def action_count(self, state):
         if state.depth >= self.horizon:
@@ -72,7 +70,7 @@ class LabelTreeTask(SearchTask):
             nxt = (lo, hi)  # padding below a singleton node
         else:
             nxt = split(lo, hi)[action]
-        return StateRef(self.instance_id, state.depth + 1, nxt)
+        return StateRef(state.depth + 1, nxt)
 
     def action_features(self, state):
         lo, hi = state.payload

@@ -29,22 +29,18 @@ class ParseTask(SearchTask):
     heads[i] is the assigned head of token i+1 (0 root, -1 unassigned).
     """
 
-    def __init__(self, tokens, gold_heads=None, instance_id=0,
-                 base_bits=DEFAULT_BASE_BITS):
+    def __init__(self, tokens, gold_heads=None, base_bits=DEFAULT_BASE_BITS):
         self.tokens = list(tokens)
         self.n = len(self.tokens)
         if self.n < 1:
             raise ValueError("empty sentence")
         self.gold_heads = list(gold_heads) if gold_heads is not None else None
-        self.instance_id = instance_id
         self.base = 1 << base_bits
         self.horizon = 2 * self.n - 1
         self.dimension = 3 * self.base
-        self.action_arity_bound = 3
 
     def start_state(self):
-        return StateRef(self.instance_id, 0,
-                        ((), 1, (-1,) * self.n))
+        return StateRef(0, ((), 1, (-1,) * self.n))
 
     def _legal(self, payload):
         stack, buf, _ = payload
@@ -78,8 +74,7 @@ class ParseTask(SearchTask):
         else:  # REDUCE_RIGHT
             heads[stack[-1] - 1] = stack[-2]
             stack = stack[:-1]
-        return StateRef(self.instance_id, state.depth + 1,
-                        (stack, buf, tuple(heads)))
+        return StateRef(state.depth + 1, (stack, buf, tuple(heads)))
 
     def _token(self, i):
         """Token string for 1-based index i, or a boundary marker."""

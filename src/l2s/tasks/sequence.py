@@ -16,27 +16,24 @@ class SequenceTask(SearchTask):
     divided by length for bandit use).
     """
 
-    def __init__(self, tokens, gold_tags, tag_count, instance_id=0,
+    def __init__(self, tokens, gold_tags, tag_count,
                  base_bits=DEFAULT_BASE_BITS, normalize_loss=False):
         self.tokens = list(tokens)
         self.gold_tags = list(gold_tags) if gold_tags is not None else None
         self.tag_count = tag_count
-        self.instance_id = instance_id
         self.base = 1 << base_bits
         self.horizon = len(self.tokens)
         self.dimension = tag_count * self.base
-        self.action_arity_bound = tag_count
         self.normalize_loss = normalize_loss
 
     def start_state(self):
-        return StateRef(self.instance_id, 0, ())
+        return StateRef(0, ())
 
     def action_count(self, state):
         return 0 if state.depth >= self.horizon else self.tag_count
 
     def transition(self, state, action):
-        return StateRef(self.instance_id, state.depth + 1,
-                        state.payload + (action,))
+        return StateRef(state.depth + 1, state.payload + (action,))
 
     def _base_keys(self, state):
         t = state.depth

@@ -143,7 +143,7 @@ def check_regret_bound(model, ref, trace, beta, tol=1e-9):
     )
 
 
-def run_training(model, plan, rounds, eta0=0.5, tie_break="lowest"):
+def run_training(model, plan, rounds, eta0=0.5):
     """Train on a single exact model for `rounds` instances.
 
     Returns (trainer, task, trace, example_stream) where trace holds one
@@ -151,16 +151,14 @@ def run_training(model, plan, rounds, eta0=0.5, tie_break="lowest"):
     cost-sensitive example.
     """
     task = ExactModelTask(model)
-    trainer = Trainer(task.dimension, plan, eta0=eta0,
-                      record_examples=True, tie_break=tie_break)
+    trainer = Trainer(task.dimension, plan, eta0=eta0)
     ref = task.reference_policy()
     trace = []
     stream = []
     for _ in range(rounds):
         examples, _ = trainer.process_example(task, reference=ref)
         stream.extend(examples)
-        trace.append(task.learned_slot_policy(trainer.learner.weights,
-                                              tie_break=tie_break))
+        trace.append(task.learned_slot_policy(trainer.learner.weights))
     return trainer, task, trace, stream
 
 

@@ -60,7 +60,7 @@ class RollinFailureReport:
     inseparable_signatures: list = field(default_factory=list)
 
 
-def reference_rollin_failure(model, rounds=40, tie_break="lowest", seed=0):
+def reference_rollin_failure(model, rounds=40, seed=0):
     """Roll in and out with the reference; audit what the learner saw.
 
     Returns which signatures ever produced an example, the set of class
@@ -68,8 +68,7 @@ def reference_rollin_failure(model, rounds=40, tie_break="lowest", seed=0):
     deployed loss of the worst such policy.
     """
     plan = RolloutPlan(roll_in="reference", roll_out="reference", seed=seed)
-    trainer, task, _, stream = run_training(model, plan, rounds,
-                                            tie_break=tie_break)
+    _, task, _, stream = run_training(model, plan, rounds)
     visited = set()
     for ex in stream:
         sig, _ = task.feature_owner(ex.per_action_features.blocks[0])

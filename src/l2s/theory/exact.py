@@ -213,10 +213,9 @@ class ExactModelTask(SearchTask):
     equal-label slots fall to the tie-break rule).
     """
 
-    def __init__(self, model, instance_id=0):
+    def __init__(self, model):
         model.validate()
         self.model = model
-        self.instance_id = instance_id
         self.horizon = model.horizon
         self.feature_index = {}
         for sig in model.signatures():
@@ -232,7 +231,7 @@ class ExactModelTask(SearchTask):
             (len(e) for e in model.edges.values()), default=1)
 
     def start_state(self):
-        return StateRef(self.instance_id, 0, self.model.start)
+        return StateRef(0, self.model.start)
 
     def action_count(self, state):
         return len(self.model.edges.get(state.payload, ()))
@@ -241,7 +240,7 @@ class ExactModelTask(SearchTask):
         edges = self.model.edges[state.payload]
         if not 0 <= action < len(edges):
             raise IllegalAction(f"slot {action} at {state.payload}")
-        return StateRef(self.instance_id, state.depth + 1, edges[action][1])
+        return StateRef(state.depth + 1, edges[action][1])
 
     def slot_feature(self, state_name, slot):
         sig = self.model.signature(state_name)

@@ -75,12 +75,9 @@ class _PerStateMixture(core.Policy):
 class Trainer:
     """Mutable training state: learner, policy history and RNG streams."""
 
-    def __init__(self, dimension, plan, eta0=0.5, record_examples=False,
-                 record_history=True, tie_break="lowest"):
+    def __init__(self, dimension, plan, eta0=0.5, record_history=True):
         self.plan = plan
-        self.learner = CostSensitiveLearner(dimension, eta0,
-                                            record_examples=record_examples)
-        self.tie_break = tie_break
+        self.learner = CostSensitiveLearner(dimension, eta0)
         self.record_history = record_history
         # history[0] is the untrained initial policy
         self.history = [self.learner.weights.copy()]
@@ -88,7 +85,7 @@ class Trainer:
         self.mixture_rng = rng.substream(plan.seed, rng.MIXTURE)
 
     def current_policy(self):
-        return self.learner.policy(tie_break=self.tie_break)
+        return self.learner.policy()
 
     def _rollout_policy(self, reference, learned):
         """Policy completing one deviation, per the plan's roll-out strategy."""
@@ -108,8 +105,7 @@ class Trainer:
         # The learned policy reads the live weights, not a copy: no update
         # runs until every roll-out of this instance is done, so it stays
         # frozen for the whole instance.
-        learned = core.LinearPolicy(self.learner.weights,
-                                    tie_break=self.tie_break)
+        learned = core.LinearPolicy(self.learner.weights)
         roll_in = reference if self.plan.roll_in == "reference" else learned
 
         # one roll-in pass collecting the states at every decision point
@@ -155,19 +151,18 @@ class Trainer:
         pool = self.history if include_initial else self.history[1:]
         if not pool:
             raise NoPolicies("no trained policies to average over")
-        return AveragedPolicy(pool, generator, tie_break=self.tie_break)
+        return AveragedPolicy(pool, generator)
 
 
 class AveragedPolicy:
     """Online-to-batch average: sample one historical policy per trajectory."""
 
-    def __init__(self, snapshots, generator, tie_break="lowest"):
+    def __init__(self, snapshots, generator):
         if not snapshots:
             raise NoPolicies("empty snapshot pool")
         self.snapshots = snapshots
         self.generator = generator
-        self.tie_break = tie_break
 
     def sample(self):
         i = int(self.generator.integers(len(self.snapshots)))
-        return core.LinearPolicy(self.snapshots[i], tie_break=self.tie_break)
+        return core.LinearPolicy(self.snapshots[i])

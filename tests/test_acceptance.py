@@ -213,7 +213,7 @@ def test_criterion_8_gradient_and_reproducibility(tmp_path):
         cost = float(g.normal())
         lr = 0.37
         learner = CostSensitiveLearner(dim, eta0=lr)
-        learner.regressor.weights[:] = w
+        learner.weights[:] = w
         learner.update(CostSensitiveExample(feats, np.array([cost])))
         implied_grad = (w - learner.weights) / lr  # first update: lr = eta0
         eps = 1e-6

@@ -76,6 +76,38 @@ def test_explore_rounds_match_exploration_step():
     assert state.learner.weights.any()
 
 
+def test_exploit_rounds_draw_pool_index_from_averaging_stream():
+    seed = 5
+    tasks = [SequenceTask(toks, tags, 3, normalize_loss=True)
+             for toks, tags in gen_sequences(5, seed=3, tag_count=3)]
+    state = bandit.BanditState(tasks[0].dimension, epsilon=0.5, seed=seed)
+    pool = [np.zeros(tasks[0].dimension)]  # kept by hand, explored rounds only
+    exploited = []
+    for r in range(50):
+        task = tasks[r % len(tasks)]
+        state, out = bandit.bandit_step(
+            state, task, lambda end: core.end_loss(task, end),
+            task.reference_policy("bad", seed=seed))
+        if out.mode == "explored":
+            pool.append(state.learner.weights.copy())
+        else:
+            exploited.append((task, len(pool), out.prediction))
+    assert len(pool) == len(state.explored_policies)
+    assert all(np.array_equal(a, b) for a, b in zip(pool, state.explored_policies))
+
+    def decode(task, weights):
+        pol = core.LinearPolicy(weights)
+        return task.decode(core.execute(task, pol, task.start_state(), task.horizon))
+
+    average_rng = rng.substream(seed, rng.AVERAGING)
+    telling = 0  # rounds where another pool index would predict otherwise
+    for task, size, prediction in exploited:
+        i = int(average_rng.integers(size))
+        assert decode(task, pool[i]) == prediction
+        telling += any(decode(task, w) != prediction for w in pool[:size])
+    assert len(exploited) >= 15 and telling >= 10
+
+
 def test_never_explore_never_mutates():
     task = ExactModelTask(scaled_model())
     ref = task.reference_policy()

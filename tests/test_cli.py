@@ -4,6 +4,7 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -215,6 +216,11 @@ def test_damaged_model_file_exits_one(runner, tmp_path, damage):
     ("sequence", "a\t\t0\nb\t\t1\n"),     # no gold tags
     ("parse", "a\t0\t\nb\t1\t\n"),        # no gold heads
     ("multiclass", "1:1.0,0.5\n"),        # one cost column
+    ("parse", "a\t\t5\nb\t\t0\n"),        # head outside 0..2
+    ("parse", "a\t\t1\nb\t\t0\n"),        # token 1 is its own head
+    ("sequence", "a\t-1\t\nb\t0\t\n"),    # negative tag
+    ("multiclass", "1:nan,0.5,0.2\n"),    # non-finite feature value
+    ("multiclass", "1:1.0,0.5,inf\n"),    # non-finite cost
 ])
 def test_unusable_data_file_exits_two(runner, tmp_path, kind, text):
     data = tmp_path / "data.txt"
@@ -253,3 +259,26 @@ def test_held_out_file_scored_with_model_tag_count(runner, tmp_path,
         r = runner.invoke(cli.main, args)
         assert r.exit_code == code, r.output
         assert ("dimension" in r.output) == (code == 1)
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_text("not an archive\n"),
+    lambda path: np.savez(path, other=[1.0]),
+], ids=["text-file", "npz-without-snapshots"])
+def test_eval_history_not_a_snapshot_archive_exits_one(runner, tmp_path, write):
+    data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
+    history = tmp_path / "history.npz"
+    write(history)
+    r = runner.invoke(cli.main, ["eval", "--task", "multiclass",
+                                 "--data", str(data), "--history", str(history)])
+    assert r.exit_code == 1, r.output
+    assert r.output.startswith("error:")
+    assert "not a snapshot archive" in r.output
+
+
+def test_grid_cannot_hold_out_from_one_instance(runner, tmp_path):
+    data = gen(runner, tmp_path, "multiclass", 1, "mc.csv")
+    r = runner.invoke(cli.main, ["grid", "--task", "multiclass",
+                                 "--data", str(data), "--passes", "1"])
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("data error:")

@@ -102,14 +102,15 @@ def test_scores_and_argmin_match_materialised_layout():
 def test_update_matches_materialised_sequential_steps():
     for f, w, costs in cases():
         learner = CostSensitiveLearner(f.dimension, eta0=0.3)
-        learner.regressor.weights[:] = w
+        learner.weights[:] = w
         chosen = learner.predict(CostSensitiveExample(f, costs))
         learner.update(CostSensitiveExample(f, costs))
         want = w.copy()
         reference_update(want, materialise(f), costs, 0.3)
         assert bits(learner.weights) == bits(want)
-        assert chosen == learner.ledger.chosen[0] == reference_argmin(
+        assert chosen == reference_argmin(
             reference_scores(w, materialise(f)), "lowest")
+        assert learner.ledger.cum_alg_cost == float(costs[chosen])
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

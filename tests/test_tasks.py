@@ -73,16 +73,16 @@ def test_sequence_shapes_and_loss():
     assert task.action_count(s) == 3
     feats = task.action_features(s)
     assert len(feats) == 3
-    end = core.StateRef(0, 3, (0, 1, 0))
+    end = core.StateRef(3, (0, 1, 0))
     assert task.terminal_loss(end) == 1.0
     assert 0.0 <= task.terminal_loss(end) <= task.horizon
 
 
 def test_sequence_normalized_loss():
     task = SequenceTask(["aa", "bb"], [0, 0], tag_count=2, normalize_loss=True)
-    end = core.StateRef(0, 2, (1, 1))
+    end = core.StateRef(2, (1, 1))
     assert task.terminal_loss(end) == 1.0
-    end = core.StateRef(0, 2, (1, 0))
+    end = core.StateRef(2, (1, 0))
     assert task.terminal_loss(end) == 0.5
 
 
@@ -117,7 +117,7 @@ def test_sequence_bad_reference_is_seeded():
 def test_sequence_missing_gold():
     task = SequenceTask(["aa"], None, tag_count=2)
     with pytest.raises(MissingGold):
-        task.terminal_loss(core.StateRef(0, 1, (0,)))
+        task.terminal_loss(core.StateRef(1, (0,)))
     with pytest.raises(MissingGold):
         task.reference_policy()
 
@@ -234,17 +234,17 @@ def test_parse_two_token_oracle():
     # gold: token 1's head is token 2, token 2 is the root
     task = ParseTask(["x", "y"], [2, 0])
     ref = task.reference_policy("optimal")
-    traj = core.run_trajectory(task, ref)
-    assert traj.end_loss == 0.0
-    assert task.decode(traj.end_state) == [2, 0]
+    end = core.execute(task, ref, task.start_state(), task.horizon)
+    assert core.end_loss(task, end) == 0.0
+    assert task.decode(end) == [2, 0]
 
 
 def test_parse_three_token_chain_reaches_zero():
     # chain 1 <- 2 <- 3, root 3
     task = ParseTask(["x", "y", "z"], [2, 3, 0])
     ref = task.reference_policy("optimal")
-    traj = core.run_trajectory(task, ref)
-    assert traj.end_loss == 0.0
+    end = core.execute(task, ref, task.start_state(), task.horizon)
+    assert core.end_loss(task, end) == 0.0
 
 
 def test_parse_optimal_reference_minimizes_everywhere():

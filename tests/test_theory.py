@@ -231,7 +231,7 @@ def test_learned_slot_policy_agrees_with_act():
         for tb in ("lowest", "highest"):
             pol = task.learned_slot_policy(w, tie_break=tb)
             for s in model.nonterminal_states():
-                state = StateRef(0, model.depths[s], s)
+                state = StateRef(model.depths[s], s)
                 scores = [w[task.slot_feature(s, i)]
                           for i in range(len(model.edges[s]))]
                 ties += scores.count(min(scores)) > 1

@@ -52,7 +52,7 @@ def test_mixture_degenerate_betas():
 
 def run_rounds(model, plan, rounds):
     task = ExactModelTask(model)
-    trainer = Trainer(task.dimension, plan, record_examples=True)
+    trainer = Trainer(task.dimension, plan)
     stream = []
     for _ in range(rounds):
         examples, diag = trainer.process_example(task)
