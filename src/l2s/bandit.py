@@ -15,8 +15,8 @@ import numpy as np
 
 from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
-from .errors import LossOutOfRange
-from .trainer import AveragedPolicy, RolloutPlan, draw_rollout_policy
+from .errors import BadConfig, LossOutOfRange
+from .trainer import AveragedPolicy, RolloutPlan, complete_deviation
 
 
 @dataclass
@@ -31,8 +31,9 @@ class BanditState:
     """Mutable bandit session: learner, explored-policy pool, RNG streams."""
 
     def __init__(self, dimension, epsilon=0.1, beta=0.5, seed=0, eta0=0.5):
+        if not 0.0 <= epsilon <= 1.0:
+            raise BadConfig(f"epsilon {epsilon} outside [0, 1]")
         self.epsilon = epsilon
-        self.beta = beta
         self.learner = CostSensitiveLearner(dimension, eta0)
         self.explored_policies = [self.learner.weights.copy()]
         self.n_explore = 0
@@ -90,13 +91,12 @@ def exploration_step(task, latest, reference, loss, explore_rng, mixture_rng,
     k = task.action_count(s_t)
     a_t = int(explore_rng.integers(k))
 
-    kind = draw_rollout_policy(plan, mixture_rng)
-    out_policy = reference if kind == "reference" else latest
-    nxt = task.transition(s_t, a_t)
-    end = core.execute(task, out_policy, nxt, task.horizon - t - 1)
+    end, out_policy = complete_deviation(task, s_t, a_t, plan, reference,
+                                         latest, mixture_rng)
     observed = loss(end)
     return s_t, end, {"t": t, "action": a_t, "k": k, "loss": observed,
-                      "rollout": kind,
+                      "rollout": ("reference" if out_policy is reference
+                                  else "learned"),
                       "costs": importance_weighted_costs(k, a_t, observed)}
 
 
@@ -105,8 +105,7 @@ def _explore(state, task, loss_oracle, reference):
         task, state.latest_policy(), reference,
         partial(_checked_loss, loss_oracle), state.explore_rng,
         state.mixture_rng, state._plan)
-    example = CostSensitiveExample(task.action_features(s_t), record["costs"],
-                                   raw=True)
+    example = CostSensitiveExample(task.action_features(s_t), record["costs"])
     state.learner.update(example)
     state.explored_policies.append(state.learner.weights.copy())
     state.n_explore += 1
@@ -132,6 +131,8 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
     """
     from .theory import exact as ex
 
+    if trials < 2:
+        raise BadConfig(f"trials {trials} must be at least 2")
     task = ex.ExactModelTask(model)
     ref_exact = ex.reference_policy(model)
     latest_exact = task.learned_slot_policy(latest_weights)

@@ -39,6 +39,13 @@ def _config_and_data(config_path, overrides):
     return cfg, experiment.load_dataset(cfg.task, cfg.data)
 
 
+def _at_least(low, **options):
+    """BadConfig for the first of `options` below `low`."""
+    for name, value in options.items():
+        if value < low:
+            raise BadConfig(f"--{name} {value} must be at least {low}")
+
+
 class _ErrorBoundary(click.Group):
     """Ends any subcommand's DataFormatError in exit code 2 and any other
     L2SError or OSError in exit code 1."""
@@ -177,6 +184,7 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     The policies and the (gold-free) reference never see the labels; the
     seeded-random 'bad' reference quality is used for roll-outs.
     """
+    _at_least(1, rounds=rounds)
     cfg, dataset = _config_and_data(config_path, overrides)
     state = banditmod.BanditState(
         experiment.task_dimension(dataset), epsilon=epsilon,
@@ -227,6 +235,8 @@ def _report(name, ok, detail):
 @click.option("--seed", default=0, type=int)
 def identity(models, pairs, seed):
     """Telescoping difference identity on random exact models."""
+    _at_least(1, models=models, pairs=pairs)
+    _at_least(0, seed=seed)
     worst = 0.0
     g = rng.substream(seed, rng.EVAL)
     for model in theory.random_models(seed, models):
@@ -245,6 +255,8 @@ def identity(models, pairs, seed):
 @click.option("--seed", default=0, type=int)
 def bound(models, rounds, seed):
     """Convex-combination regret bound on trained runs."""
+    _at_least(1, models=models, rounds=rounds)
+    _at_least(0, seed=seed)
     failures = 0
     total = 0
     for model in theory.random_models(seed, models):
@@ -284,6 +296,7 @@ def counterexamples(eps, rounds):
 @click.option("--horizon", "-T", default=3, type=int)
 def snake(horizon):
     """Exponential local-search lower bound via hypercube induced paths."""
+    _at_least(1, horizon=horizon)
     bits, updates = theory.snake_lower_bound(horizon)
     _report(f"snake-T{horizon}", True,
             f"{updates} updates along {'->'.join(bits)}")
@@ -295,6 +308,7 @@ def snake(horizon):
 @click.option("--seed", default=0, type=int)
 def unbiasedness(trials, beta, seed):
     """Monte Carlo mean of the importance-weighted cost vs enumeration."""
+    _at_least(0, seed=seed)
     model = theory.shared_feature_chooser()
     from .theory import exact as ex
     task = ex.ExactModelTask(model)
@@ -320,6 +334,8 @@ def unbiasedness(trials, beta, seed):
 @click.option("--out", required=True, type=click.Path())
 def gen_data(kind, count, seed, out):
     """Write a seeded synthetic dataset in the on-disk format."""
+    _at_least(1, count=count)
+    _at_least(0, seed=seed)
     if kind == "sequence":
         data = gen_sequences(count, seed)
         write_sentences(out, [(toks, tags, None) for toks, tags in data])

@@ -28,13 +28,12 @@ class CostSensitiveExample:
     """Per-decision-point record: the state's K-action ActionFeatures and
     a K-dim cost vector.
 
-    Examples extracted from rollouts have min(costs) == 0; raw
-    importance-weighted bandit examples may not and carry raw=True.
+    Examples extracted from rollouts have min(costs) == 0; importance-
+    weighted bandit examples may not.
     """
 
     per_action_features: sparse.ActionFeatures
     costs: np.ndarray
-    raw: bool = False
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)

@@ -66,6 +66,10 @@ class ExperimentConfig:
                 f"reference_quality must be one of {REFERENCE_QUALITIES}")
         if not 0.0 < self.eta0 < math.inf:
             raise BadConfig(f"eta0 {self.eta0} must be positive and finite")
+        for name in ("passes", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise BadConfig(f"{name} {value} must not be negative")
         # plan validation re-checks roll_in/roll_out/beta/draw_granularity
         self.plan()
 
@@ -82,15 +86,19 @@ class ExperimentConfig:
 def read_config(path):
     """Flat key=value file, '#' comments, blank lines ignored."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise BadConfig(f"line {no}: expected key=value, got {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            out[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise BadConfig(f"{path} is not UTF-8 text: {exc}")
+    for no, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise BadConfig(f"line {no}: expected key=value, got {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        out[key] = value
     return out
 
 
@@ -148,14 +156,18 @@ def load_dataset(kind, path):
     return Dataset(kind, records)
 
 
-def split_dataset(dataset, holdout_fraction=0.2):
-    """Train/test split: the last fraction of records, by file order.
-    Both parts are non-empty, so the data needs at least 2 instances."""
+HOLDOUT_FRACTION = 0.2
+
+
+def split_dataset(dataset):
+    """Train/test split: the last HOLDOUT_FRACTION of records, by file
+    order. Both parts are non-empty, so the data needs at least 2
+    instances."""
     n = len(dataset.records)
     if n < 2:
         raise DataFormatError(f"{n} instance cannot be split into "
                               "training and held-out data")
-    cut = n - max(1, int(n * holdout_fraction))
+    cut = n - max(1, int(n * HOLDOUT_FRACTION))
     return (replace(dataset, records=dataset.records[:cut]),
             replace(dataset, records=dataset.records[cut:]))
 

@@ -7,7 +7,7 @@ from .io import (
     write_multiclass,
     write_sentences,
 )
-from .synth import gen_multiclass, gen_sequences, gen_trees, sibling_label
+from .synth import gen_multiclass, gen_sequences, gen_trees
 from . import io, synth
 
 __all__ = [
@@ -16,6 +16,6 @@ __all__ = [
     "ParseTask", "ParseReference", "uas",
     "read_multiclass", "read_sentences",
     "write_multiclass", "write_sentences",
-    "gen_multiclass", "gen_sequences", "gen_trees", "sibling_label",
+    "gen_multiclass", "gen_sequences", "gen_trees",
     "io", "synth",
 ]

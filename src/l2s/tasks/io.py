@@ -6,9 +6,20 @@ example: a space-separated "index:value" features field, then k costs.
 """
 
 import csv
+import io
 import math
 
 from ..errors import DataFormatError
+
+
+def _text(path, newline=None):
+    """A file opened for reading as UTF-8 text; any other bytes are a
+    DataFormatError."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return io.StringIO(fh.read(), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path} is not UTF-8 text: {exc}")
 
 
 def write_sentences(path, sentences):
@@ -58,7 +69,7 @@ def read_sentences(path):
         sentences.append((list(tokens), sent_tags, sent_heads))
         tokens.clear(), tags.clear(), heads.clear(), lines.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with _text(path) as fh:
         for no, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -88,7 +99,7 @@ def read_multiclass(path):
     """Returns a list of (feature_pairs, costs); all rows must agree on k."""
     out = []
     k = None
-    with open(path, encoding="utf-8", newline="") as fh:
+    with _text(path, newline="") as fh:
         for no, row in enumerate(csv.reader(fh), 1):
             if not row:
                 continue

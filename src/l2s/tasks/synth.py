@@ -1,9 +1,6 @@
 """Seeded synthetic data: HMM sequences, projective trees, cost vectors."""
 
-import numpy as np
-
 from .. import rng
-from .labeltree import leaf_path, split
 
 
 def gen_sequences(count, seed, tag_count=5, vocab_per_tag=8, min_len=5,
@@ -65,15 +62,6 @@ def gen_trees(count, seed, min_len=3, max_len=6, vocab=30):
             tokens.append(word)
         out.append((tokens, heads))
     return out
-
-
-def sibling_label(k, label):
-    """The label sharing `label`'s deepest tree split."""
-    lo, hi = 0, k - 1
-    while hi - lo + 1 > 2:
-        left, right = split(lo, hi)
-        lo, hi = left if label <= left[1] else right
-    return lo if label == hi else hi
 
 
 def gen_multiclass(count, seed, label_count=8, noise_features=3,

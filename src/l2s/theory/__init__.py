@@ -8,7 +8,6 @@ from .exact import (
     exact_J,
     exact_Q,
     exact_Q_policy,
-    load_model,
     parse_model,
     reference_policy,
     serialize_model,

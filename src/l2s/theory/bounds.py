@@ -143,15 +143,16 @@ def check_regret_bound(model, ref, trace, beta, tol=1e-9):
     )
 
 
-def run_training(model, plan, rounds, eta0=0.5):
-    """Train on a single exact model for `rounds` instances.
+def run_training(model, plan, rounds):
+    """Train on a single exact model for `rounds` instances, step size
+    eta0 = 0.5.
 
     Returns (trainer, task, trace, example_stream) where trace holds one
     deterministic SlotPolicy per round and example_stream every emitted
     cost-sensitive example.
     """
     task = ExactModelTask(model)
-    trainer = Trainer(task.dimension, plan, eta0=eta0)
+    trainer = Trainer(task.dimension, plan, eta0=0.5)
     ref = task.reference_policy()
     trace = []
     stream = []
@@ -162,23 +163,32 @@ def run_training(model, plan, rounds, eta0=0.5):
     return trainer, task, trace, stream
 
 
-def random_model(generator, max_depth=5, max_branch=3, states_per_depth=3,
-                 label_alphabet=4, max_loss=10.0):
+# random_model's shape: up to MAX_DEPTH layers of up to STATES_PER_DEPTH
+# states, up to MAX_BRANCH edges per state drawn from LABEL_ALPHABET labels
+# per depth, and end-state losses uniform in [0, MAX_LOSS)
+MAX_DEPTH = 5
+MAX_BRANCH = 3
+STATES_PER_DEPTH = 3
+LABEL_ALPHABET = 4
+MAX_LOSS = 10.0
+
+
+def random_model(generator):
     """A seeded layered model with occasional feature sharing."""
-    depth = int(generator.integers(2, max_depth + 1))
+    depth = int(generator.integers(2, MAX_DEPTH + 1))
     layers = [["s0_0"]]
     for d in range(1, depth + 1):
-        width = int(generator.integers(1, states_per_depth + 1))
+        width = int(generator.integers(1, STATES_PER_DEPTH + 1))
         layers.append([f"s{d}_{j}" for j in range(width)])
     depths, edges, losses, ref = {}, {}, {}, {}
     for d, layer in enumerate(layers):
         for s in layer:
             depths[s] = d
     for d in range(depth):
-        labels_pool = [f"L{d}_{j}" for j in range(label_alphabet)]
+        labels_pool = [f"L{d}_{j}" for j in range(LABEL_ALPHABET)]
         for s in layers[d]:
-            k = int(generator.integers(1, max_branch + 1))
-            chosen = list(generator.choice(label_alphabet, size=k, replace=False))
+            k = int(generator.integers(1, MAX_BRANCH + 1))
+            chosen = list(generator.choice(LABEL_ALPHABET, size=k, replace=False))
             outs = []
             for j in sorted(chosen):
                 nxt = layers[d + 1][int(generator.integers(len(layers[d + 1])))]
@@ -186,11 +196,11 @@ def random_model(generator, max_depth=5, max_branch=3, states_per_depth=3,
             edges[s] = outs
             ref[s] = outs[int(generator.integers(len(outs)))][0]
     for s in layers[depth]:
-        losses[s] = float(generator.uniform(0.0, max_loss))
+        losses[s] = float(generator.uniform(0.0, MAX_LOSS))
     model = ExactModel(depths, edges, losses, "s0_0", ref).validate()
     return model
 
 
-def random_models(seed, count, **kwargs):
+def random_models(seed, count):
     g = rngmod.substream(seed, rngmod.MODELGEN)
-    return [random_model(g, **kwargs) for _ in range(count)]
+    return [random_model(g) for _ in range(count)]

@@ -9,6 +9,7 @@ one-step deviation is radically better.
 
 from dataclasses import dataclass, field
 
+from ..errors import BadConfig
 from ..trainer import RolloutPlan
 from . import exact
 from .bounds import run_training
@@ -18,19 +19,14 @@ from .exact import (
     exact_J,
 )
 
+ROLLIN_ROUNDS = 40
+
 
 def _expected_example_cost(model, task, policy, example):
     """Expected cost a (possibly stochastic) class policy pays on an example."""
-    sig, _ = task.feature_owner(example.per_action_features.blocks[0])
-    dist = policy.slot_distribution(model, _any_state_with_sig(model, sig))
+    sig = task.feature_signature[example.per_action_features.blocks[0]]
+    dist = policy.slot_distribution(model, task.signature_state[sig])
     return sum(p * float(example.costs[slot]) for slot, p in dist)
-
-
-def _any_state_with_sig(model, sig):
-    for s in model.nonterminal_states():
-        if model.signature(s) == sig:
-            return s
-    raise KeyError(sig)
 
 
 class _UniformAt(exact.ExactPolicy):
@@ -60,20 +56,19 @@ class RollinFailureReport:
     inseparable_signatures: list = field(default_factory=list)
 
 
-def reference_rollin_failure(model, rounds=40, seed=0):
-    """Roll in and out with the reference; audit what the learner saw.
+def reference_rollin_failure(model):
+    """Roll in and out with the reference for ROLLIN_ROUNDS rounds; audit
+    what the learner saw.
 
     Returns which signatures ever produced an example, the set of class
     policies with zero cumulative cost on the generated stream, and the
     deployed loss of the worst such policy.
     """
-    plan = RolloutPlan(roll_in="reference", roll_out="reference", seed=seed)
-    _, task, _, stream = run_training(model, plan, rounds)
-    visited = set()
-    for ex in stream:
-        sig, _ = task.feature_owner(ex.per_action_features.blocks[0])
-        visited.add(sig)
-    all_sigs = set(model.signatures())
+    plan = RolloutPlan(roll_in="reference", roll_out="reference")
+    _, task, _, stream = run_training(model, plan, ROLLIN_ROUNDS)
+    visited = {task.feature_signature[ex.per_action_features.blocks[0]]
+               for ex in stream}
+    sigs = model.signatures()
 
     ref = task.reference_policy()
     J_ref = exact_J(model, ref)
@@ -85,14 +80,14 @@ def reference_rollin_failure(model, rounds=40, seed=0):
     worst = max(zero, key=lambda p: exact_J(model, p))
     worst_J = exact_J(model, worst)
 
-    # deployed loss when the unvisited decision is left untrained (uniform)
-    unvisited = all_sigs - visited
-    uniform_J = worst_J
-    if unvisited:
-        sig = next(iter(unvisited))
-        uniform_J = exact_J(model, _UniformAt(worst, sig))
+    # deployed loss when the first unvisited decision, in signatures()
+    # order, is left untrained (uniform)
+    unvisited = set(sigs) - visited
+    first = next((sig for sig in sigs if sig in unvisited), None)
+    uniform_J = worst_J if first is None else exact_J(
+        model, _UniformAt(worst, first))
 
-    inseparable = [sig for sig in all_sigs if len(set(sig)) < len(sig)]
+    inseparable = [sig for sig in sigs if len(set(sig)) < len(sig)]
     return RollinFailureReport(
         visited_signatures=visited,
         unvisited_signatures=unvisited,
@@ -117,7 +112,9 @@ class RolloutFailureReport:
 def one_step_deviations(model, policy):
     """All policies differing from `policy` at exactly one signature."""
     out = []
-    base = {sig: _chosen_label(model, policy, sig) for sig in model.signatures()}
+    states = exact.ExactModelTask(model).signature_state
+    base = {sig: sig[policy.slot_distribution(model, states[sig])[0][0]]
+            for sig in model.signatures()}
     for sig in model.signatures():
         for label in sorted(set(sig)):
             if label == base[sig]:
@@ -128,12 +125,6 @@ def one_step_deviations(model, policy):
     return out
 
 
-def _chosen_label(model, policy, sig):
-    state = _any_state_with_sig(model, sig)
-    slot = policy.slot_distribution(model, state)[0][0]
-    return sig[slot]
-
-
 def reference_rollout_failure(model, rounds=500, beta=0.5, seed=0):
     """Roll-out with the reference converges to a locally dominated policy.
 
@@ -141,6 +132,8 @@ def reference_rollout_failure(model, rounds=500, beta=0.5, seed=0):
     policy, its deployed loss and its best one-step deviation, then the
     contrast run with a mixture roll-out.
     """
+    if rounds < 1:
+        raise BadConfig(f"rounds {rounds} must be at least 1")
     plan = RolloutPlan(roll_in="learned", roll_out="reference", seed=seed)
     _, _, trace, _ = run_training(model, plan, rounds)
     final = trace[-1]

@@ -227,6 +227,12 @@ class ExactModelTask(SearchTask):
             sig: ActionFeatures(SparseFeatures(((0, 1.0),), 1), tuple(
                 self.feature_index[(sig, label)] for label in sig), self.dimension)
             for sig in model.signatures()}
+        # feature index -> its signature; signature -> its first state
+        self.feature_signature = {
+            i: sig for (sig, _), i in self.feature_index.items()}
+        self.signature_state = {}
+        for s in model.nonterminal_states():
+            self.signature_state.setdefault(model.signature(s), s)
         self.action_arity_bound = max(
             (len(e) for e in model.edges.values()), default=1)
 
@@ -260,13 +266,6 @@ class ExactModelTask(SearchTask):
         return SlotPolicy({
             sig: argmin(features.scores(weights), tie_break)
             for sig, features in self.signature_features.items()})
-
-    def feature_owner(self, index):
-        """(signature, label) that owns a feature index."""
-        for key, i in self.feature_index.items():
-            if i == index:
-                return key
-        raise KeyError(index)
 
 
 # -- plain-text model DSL --
@@ -313,11 +312,6 @@ def serialize_model(model):
         lines.append(f"ref {s} {label}")
     lines.append(f"start {model.start}")
     return "\n".join(lines) + "\n"
-
-
-def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_model(fh.read())
 
 
 # -- the three fixture spaces --

@@ -30,13 +30,13 @@ def is_induced_path(path, dim):
     return True
 
 
-def longest_snake(dim, canonical=True):
+def longest_snake(dim):
     """Longest induced path in the dim-cube, by depth-first search.
 
-    With `canonical`, the start is fixed at vertex 0 and a new coordinate
-    may only be flipped after all lower coordinates have been used
-    (valid by hypercube symmetry; prunes heavily). Returns the vertex
-    list; length in edges is len(path) - 1.
+    The start is fixed at vertex 0 and a new coordinate may only be
+    flipped after all lower coordinates have been used (valid by
+    hypercube symmetry; prunes heavily). Returns the vertex list; length
+    in edges is len(path) - 1.
     """
     if dim > MAX_DIMENSION:
         raise TooLarge(f"dimension {dim} > {MAX_DIMENSION}")
@@ -54,14 +54,14 @@ def longest_snake(dim, canonical=True):
             for w in neighbors(u, dim):
                 blocked.add(w)
         for b in range(dim):
-            if canonical and b > used_dims:
+            if b > used_dims:
                 break
             nxt = last ^ (1 << b)
             if nxt in on_path or nxt in blocked:
                 continue
             path.append(nxt)
             on_path.add(nxt)
-            extend(path, on_path, max(used_dims, b + 1) if canonical else used_dims)
+            extend(path, on_path, max(used_dims, b + 1))
             on_path.remove(nxt)
             path.pop()
 

@@ -8,7 +8,7 @@ minimum). The T examples are then fed to the online learner in decision
 order, and the updated policy snapshot is appended to the history.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,8 +57,9 @@ def draw_rollout_policy(plan, generator):
     return "reference" if generator.random() < plan.beta else "learned"
 
 
-class _PerStateMixture(core.Policy):
-    """Draws reference-vs-learned independently at every visited state."""
+class _Mixture(core.Policy):
+    """Reference with probability beta, else learned: `draw` picks one of
+    them for a whole roll-out, `choose` draws afresh at every state."""
 
     def __init__(self, plan, reference, learned, generator):
         self.plan = plan
@@ -66,10 +67,31 @@ class _PerStateMixture(core.Policy):
         self.learned = learned
         self.generator = generator
 
-    def choose(self, task, state):
+    def draw(self):
         kind = draw_rollout_policy(self.plan, self.generator)
-        pol = self.reference if kind == "reference" else self.learned
-        return pol.choose(task, state)
+        return self.reference if kind == "reference" else self.learned
+
+    def choose(self, task, state):
+        return self.draw().choose(task, state)
+
+
+def complete_deviation(task, state, action, plan, reference, learned,
+                       generator):
+    """Take `action` at `state`, then finish the trajectory with the
+    policy `plan.roll_out` picks: the reference, the learned policy, or
+    their mixture, drawn from `generator` once per roll-out or at every
+    state. Returns (end state, roll-out policy)."""
+    if plan.roll_out == "reference":
+        policy = reference
+    elif plan.roll_out == "learned":
+        policy = learned
+    else:
+        policy = _Mixture(plan, reference, learned, generator)
+        if plan.draw_granularity == "per_rollout":
+            policy = policy.draw()
+    nxt = task.transition(state, action)
+    end = core.execute(task, policy, nxt, task.horizon - state.depth - 1)
+    return end, policy
 
 
 class Trainer:
@@ -86,17 +108,6 @@ class Trainer:
 
     def current_policy(self):
         return self.learner.policy()
-
-    def _rollout_policy(self, reference, learned):
-        """Policy completing one deviation, per the plan's roll-out strategy."""
-        if self.plan.roll_out == "reference":
-            return reference
-        if self.plan.roll_out == "learned":
-            return learned
-        if self.plan.draw_granularity == "per_state":
-            return _PerStateMixture(self.plan, reference, learned, self.mixture_rng)
-        kind = draw_rollout_policy(self.plan, self.mixture_rng)
-        return reference if kind == "reference" else learned
 
     def process_example(self, task, reference=None):
         """Run one structured example through the loop; returns diagnostics."""
@@ -116,13 +127,12 @@ class Trainer:
 
         examples = []
         diag_actions, diag_costs = [], []
-        for t, s_t in enumerate(states):
+        for s_t in states:
             feats = task.action_features(s_t)
             losses = []
             for a in range(task.action_count(s_t)):
-                out_policy = self._rollout_policy(reference, learned)
-                nxt = task.transition(s_t, a)
-                end = core.execute(task, out_policy, nxt, task.horizon - t - 1)
+                end, _ = complete_deviation(task, s_t, a, self.plan, reference,
+                                            learned, self.mixture_rng)
                 losses.append(core.end_loss(task, end))
             costs = extract_costs(losses)
             examples.append(CostSensitiveExample(feats, costs))

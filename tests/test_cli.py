@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from l2s import cli
 
@@ -282,3 +285,91 @@ def test_grid_cannot_hold_out_from_one_instance(runner, tmp_path):
                                  "--data", str(data), "--passes", "1"])
     assert r.exit_code == 2, r.output
     assert r.output.startswith("data error:")
+
+
+def assert_clean_exit(r, code):
+    """Exit `code` through sys.exit, not an uncaught exception."""
+    assert r.exit_code == code, r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), \
+        repr(r.exception)
+
+
+@pytest.mark.parametrize("kind,reader,code", [
+    ("sequence", "data", 2),     # read_sentences
+    ("multiclass", "data", 2),   # read_multiclass
+    ("multiclass", "config", 1),  # read_config
+])
+def test_non_utf8_file_exits_cleanly(runner, tmp_path, kind, reader, code):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a\t0\t\n\xff\t1\t\n")
+    flag = "--data" if reader == "data" else "--config"
+    r = runner.invoke(cli.main, ["train", "--task", kind, flag, str(bad),
+                                 "--out", str(tmp_path / "m.model")])
+    assert_clean_exit(r, code)
+    assert "not UTF-8 text" in r.output
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bandit", "--epsilon", "2"], "epsilon 2.0 outside [0, 1]"),
+    (["bandit", "--rounds", "-3"], "--rounds -3 must be at least 1"),
+    (["train", "--seed", "-1"], "seed -1 must not be negative"),
+    (["train", "--passes", "-2"], "passes -2 must not be negative"),
+    (["check", "unbiasedness", "--trials", "1"], "trials 1 must be at least 2"),
+    (["check", "counterexamples", "--rounds", "0"], "rounds 0 must be at least 1"),
+    (["check", "snake", "-T", "0"], "--horizon 0 must be at least 1"),
+    (["check", "snake", "-T", "-1"], "--horizon -1 must be at least 1"),
+    (["check", "identity", "--models", "-1"], "--models -1 must be at least 1"),
+    (["gen-data", "--task", "sequence", "--count", "-2"],
+     "--count -2 must be at least 1"),
+])
+def test_option_out_of_range_exits_one(runner, tmp_path, args, message):
+    if args[0] in ("train", "bandit"):
+        data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
+        args = args + ["--task", "multiclass", "--data", str(data)]
+    if args[0] in ("train", "gen-data"):
+        args = args + ["--out", str(tmp_path / "out")]
+    r = runner.invoke(cli.main, args)
+    assert_clean_exit(r, 1)
+    assert f"error: {message}" in r.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_history_archive_round_trip(runner, tmp_path):
+    data = gen(runner, tmp_path, "sequence", 12, "seq.tsv")
+    history = tmp_path / "history.npz"
+    r = runner.invoke(cli.main, train_args(data, "sequence", tmp_path / "m.model")
+                      + ["--passes", "2", "--history-out", str(history)])
+    assert r.exit_code == 0, r.output
+    with np.load(history) as archive:
+        # the untrained policy, then one snapshot per instance and pass
+        assert archive["snapshots"].shape[0] == 1 + 12 * 2
+    r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
+                                 str(data), "--history", str(history)])
+    assert r.exit_code == 0, r.output
+    name, value = r.output.split()
+    assert name == "accuracy" and 0.0 <= float(value) <= 1.0
+
+
+def test_bound_and_unbiasedness_suites_pass(runner):
+    r = runner.invoke(cli.main, ["check", "bound", "--models", "2",
+                                 "--rounds", "3"])
+    assert r.exit_code == 0, r.output
+    assert "[PASS] regret-bound: 10/10 model x beta runs satisfied" in r.output
+    r = runner.invoke(cli.main, ["check", "unbiasedness", "--trials", "500"])
+    assert r.exit_code == 0, r.output
+    assert r.output.startswith("[PASS] bandit-unbiasedness: a0:")
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sequence", "parse", "multiclass"]),
+       blob=st.binary(max_size=64))
+def test_any_data_file_exits_zero_one_or_two(kind, blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data")
+        with open(data, "wb") as fh:
+            fh.write(blob)
+        r = CliRunner().invoke(cli.main, train_args(
+            data, kind, os.path.join(tmp, "m.model")) + ["--passes", "1"])
+    assert r.exit_code in (0, 1, 2), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), \
+        repr(r.exception)

@@ -1,11 +1,17 @@
 """Cost-sensitive one-against-all learner: updates, regret, persistence."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l2s.cslearn import (
+    FORMAT_VERSION,
+    HEADER,
+    MAGIC,
     CostSensitiveExample,
     CostSensitiveLearner,
     comparator_from_policy,
@@ -181,3 +187,29 @@ def test_non_finite_step_raises_before_writing():
     with pytest.raises(Diverged):
         learner.update(ex([0.0]))
     assert np.array_equal(learner.weights, before)
+
+
+def _model_bytes(d, payload):
+    """A version-1 header for `d` weights followed by `payload`."""
+    return MAGIC + HEADER.pack(FORMAT_VERSION, d, 0.5, 3) + payload
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda b: MAGIC + b),
+    st.builds(_model_bytes, st.integers(0, 8), st.binary(max_size=72)),
+))
+def test_load_any_bytes(blob):
+    # an L2SError, or a learner holding the header's count of finite weights
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.model")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            learner = CostSensitiveLearner.load(path)
+        except L2SError:
+            return
+    _, d, _, _ = HEADER.unpack(blob[len(MAGIC):len(MAGIC) + HEADER.size])
+    assert learner.dimension == d
+    assert np.all(np.isfinite(learner.weights))

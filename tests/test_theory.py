@@ -1,6 +1,8 @@
 """Exact enumeration oracles, identities, bounds, and failure demos."""
 
-import importlib.resources
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from l2s.theory import (
     enumerate_policies,
     exact_J,
     exact_Q,
-    load_model,
     one_step_deviations,
     parse_model,
     random_models,
@@ -154,6 +155,59 @@ def test_rollin_failure_report():
     assert r.uniform_at_unvisited_J == 50.0
 
 
+# Root edges a, b and c lead to three mid states and the reference takes
+# a, so the signatures (r, s) and (t, u) are never visited. The worst
+# zero-regret policy goes c -> u (loss 200); left uniform, (r, s) does not
+# change that, while (t, u) would halve it.
+THREE_BRANCHES = """
+state s1 0
+state m1 1
+state m2 1
+state m3 1
+state e1 2
+state e2 2
+state e3 2
+state e4 2
+state e5 2
+state e6 2
+edge s1 a m1
+edge s1 b m2
+edge s1 c m3
+edge m1 p e1
+edge m1 q e2
+edge m2 r e3
+edge m2 s e4
+edge m3 t e5
+edge m3 u e6
+loss e1 0
+loss e2 10
+loss e3 100
+loss e4 0
+loss e5 0
+loss e6 200
+ref s1 a
+ref m1 p
+ref m2 s
+ref m3 t
+start s1
+"""
+
+
+def test_rollin_failure_uniform_signature_ignores_hash_seed():
+    # the first unvisited signature in signatures() order is left uniform,
+    # whatever order the interpreter's string hashing gives the set
+    src = os.path.dirname(os.path.dirname(theory.__path__[0]))
+    code = ("import sys\n"
+            "from l2s.theory import parse_model, reference_rollin_failure\n"
+            "r = reference_rollin_failure(parse_model(sys.stdin.read()))\n"
+            "print(sorted(r.unvisited_signatures), r.uniform_at_unvisited_J)\n")
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], input=THREE_BRANCHES,
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[('r', 's'), ('t', 'u')] 200.0\n"
+
+
 def test_rollout_failure_report():
     r = reference_rollout_failure(shared_feature_chooser(0.1))
     assert r.J_learned == pytest.approx(0.9)
@@ -188,18 +242,6 @@ def test_model_dsl_errors():
         parse_model("bogus s1\nstart s1\n")
     with pytest.raises(DataFormatError):
         parse_model("state s1 zero\nstart s1\n")
-
-
-def test_bundled_fixture_files_match_builders():
-    base = importlib.resources.files("l2s.theory") / "fixtures"
-    for name, builder in (("two_level", two_level_chooser),
-                          ("indistinct_branch", indistinct_branch_chooser),
-                          ("shared_feature", shared_feature_chooser)):
-        m = parse_model((base / f"{name}.model").read_text())
-        b = builder()
-        assert m.edges == b.edges
-        assert m.losses == b.losses
-        assert m.ref == b.ref
 
 
 def test_bad_eps_rejected():
