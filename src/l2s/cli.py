@@ -211,9 +211,9 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     if log_fh:
         log_fh.close()
     window = exploit_losses[-100:]
-    avg = sum(window) / len(window) if window else float("nan")
+    avg = f"{sum(window) / len(window):.4f}" if window else "n/a"
     click.echo(f"rounds {rounds}  explored {state.n_explore}  "
-               f"exploit-loss (last {len(window)}): {avg:.4f}")
+               f"exploit-loss (last {len(window)}): {avg}")
 
 
 # -- exact-check suites --
@@ -277,15 +277,16 @@ def bound(models, rounds, seed):
 @click.option("--rounds", default=500, type=int)
 def counterexamples(eps, rounds):
     """Both failure demonstrations on the fixture spaces."""
-    m1 = theory.two_level_chooser()
-    r1 = theory.reference_rollin_failure(m1)
+    # the roll-out demo checks --eps and --rounds before it runs, so it
+    # runs first: a bad option then ends the command before any verdict
+    r2 = theory.reference_rollout_failure(theory.shared_feature_chooser(eps),
+                                          rounds=rounds)
+    r1 = theory.reference_rollin_failure(theory.two_level_chooser())
     ok1 = (r1.unvisited_signatures and r1.worst_zero_regret_J - r1.J_ref >= 100.0)
     _report("reference-rollin-failure", bool(ok1),
             f"unvisited {sorted(r1.unvisited_signatures)}, "
             f"worst zero-regret J {r1.worst_zero_regret_J:g} "
             f"vs reference J {r1.J_ref:g}")
-    m2 = theory.shared_feature_chooser(eps)
-    r2 = theory.reference_rollout_failure(m2, rounds=rounds)
     ok2 = r2.deviation_gap > 0 and r2.mixture_J < r2.J_learned
     _report("reference-rollout-failure", bool(ok2),
             f"learned J {r2.J_learned:g}, best deviation J "

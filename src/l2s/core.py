@@ -56,6 +56,12 @@ class SearchTask(ABC):
         """The state's sparse.ActionFeatures: one block id per live
         action, in action order."""
 
+    def feature_key(self, state):
+        """A hashable key of what `action_features(state)` reads: two
+        states with live actions and equal keys have equal
+        ActionFeatures. The default, the state itself, always is one."""
+        return state
+
     @abstractmethod
     def terminal_loss(self, state) -> float:
         """Loss of an end state. Only called at depth == horizon."""
@@ -96,14 +102,26 @@ class LinearPolicy(Policy):
 
     Ties are broken by `tie_break`: "lowest" (default) or "highest"
     action index.
+
+    `weights` must not change while the policy lives: `choose` memoises
+    its action per `task.feature_key(state)`, so a roll-out revisiting a
+    feature context is not scored again. The memo holds one task's keys
+    and starts afresh when `choose` is called with another task.
     """
 
     def __init__(self, weights, tie_break="lowest"):
         self.weights = np.asarray(weights, dtype=np.float64)
         self.tie_break = tie_break
+        self._task, self._choices = None, {}
 
     def choose(self, task, state):
-        return act(self, task.action_features(state))
+        if task is not self._task:
+            self._task, self._choices = task, {}
+        key = task.feature_key(state)
+        action = self._choices.get(key)
+        if action is None:
+            action = self._choices[key] = act(self, task.action_features(state))
+        return action
 
 
 def execute(task, policy, from_state, steps):

@@ -133,9 +133,14 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
 
+# a sequence model holds tag count x 2^15 weights: 64 MiB at this bound
+MAX_TAG_COUNT = 256
+
+
 def load_dataset(kind, path):
-    """A data file's records; a file without instances, or with an
-    instance lacking gold labels, is a DataFormatError."""
+    """A data file's records; a file without instances, with an instance
+    lacking gold labels, or with a sequence tag of MAX_TAG_COUNT or more
+    is a DataFormatError."""
     if kind == "multiclass":
         records = read_multiclass(path)
     elif kind in ("sequence", "parse"):
@@ -151,8 +156,11 @@ def load_dataset(kind, path):
     if kind == "multiclass":
         return Dataset(kind, records, {"label_count": len(records[0][1])})
     if kind == "sequence":
-        tag_count = 1 + max(t for _, tags in records for t in tags)
-        return Dataset(kind, records, {"tag_count": tag_count})
+        top = max(t for _, tags in records for t in tags)
+        if top >= MAX_TAG_COUNT:
+            raise DataFormatError(f"{path}: tag {top} is not below the "
+                                  f"tag bound {MAX_TAG_COUNT}")
+        return Dataset(kind, records, {"tag_count": top + 1})
     return Dataset(kind, records)
 
 

@@ -72,6 +72,9 @@ class LabelTreeTask(SearchTask):
             nxt = split(lo, hi)[action]
         return StateRef(state.depth + 1, nxt)
 
+    def feature_key(self, state):
+        return state.payload
+
     def action_features(self, state):
         lo, hi = state.payload
         node = f"n{lo}_{hi}"

@@ -80,6 +80,10 @@ class ParseTask(SearchTask):
         """Token string for 1-based index i, or a boundary marker."""
         return self.tokens[i - 1] if 1 <= i <= self.n else "<none>"
 
+    def feature_key(self, state):
+        stack, buf, _ = state.payload
+        return stack[-2:], buf
+
     def action_features(self, state):
         stack, buf, _ = state.payload
         s0 = stack[-1] if stack else 0

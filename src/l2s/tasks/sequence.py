@@ -49,6 +49,9 @@ class SequenceTask(SearchTask):
         ]
         return keys
 
+    def feature_key(self, state):
+        return state.depth, state.payload[-1] if state.payload else None
+
     def action_features(self, state):
         idx = sorted({hash_index(k, self.base) for k in self._base_keys(state)})
         return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),

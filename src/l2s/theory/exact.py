@@ -252,8 +252,11 @@ class ExactModelTask(SearchTask):
         sig = self.model.signature(state_name)
         return self.feature_index[(sig, sig[slot])]
 
+    def feature_key(self, state):
+        return self.model.signature(state.payload)
+
     def action_features(self, state):
-        return self.signature_features[self.model.signature(state.payload)]
+        return self.signature_features[self.feature_key(state)]
 
     def terminal_loss(self, state):
         return self.model.losses[state.payload]

@@ -115,7 +115,7 @@ class Trainer:
             reference = task.reference_policy()  # may raise MissingGold
         # The learned policy reads the live weights, not a copy: no update
         # runs until every roll-out of this instance is done, so it stays
-        # frozen for the whole instance.
+        # frozen for the whole instance, as LinearPolicy's memo needs.
         learned = core.LinearPolicy(self.learner.weights)
         roll_in = reference if self.plan.roll_in == "reference" else learned
 

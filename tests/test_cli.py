@@ -154,6 +154,16 @@ def test_bandit_session_log(runner, tmp_path):
     assert all(0.0 <= x["loss"] <= 1.0 for x in rows)
 
 
+def test_bandit_without_exploit_round_reports_no_loss(runner, tmp_path):
+    data = gen(runner, tmp_path, "multiclass", 40, "mc.csv")
+    r = runner.invoke(cli.main, ["bandit", "--task", "multiclass",
+                                 "--data", str(data), "--rounds", "20",
+                                 "--epsilon", "1"])
+    assert r.exit_code == 0, r.output
+    assert r.output == ("rounds 20  explored 20  "
+                        "exploit-loss (last 0): n/a\n")
+
+
 def test_check_suites_pass(runner):
     r = runner.invoke(cli.main, ["check", "identity", "--models", "10"])
     assert r.exit_code == 0, r.output
@@ -222,6 +232,7 @@ def test_damaged_model_file_exits_one(runner, tmp_path, damage):
     ("parse", "a\t\t5\nb\t\t0\n"),        # head outside 0..2
     ("parse", "a\t\t1\nb\t\t0\n"),        # token 1 is its own head
     ("sequence", "a\t-1\t\nb\t0\t\n"),    # negative tag
+    ("sequence", "a\t1000000000\t\n\nb\t0\t\n"),  # tag beyond the bound
     ("multiclass", "1:nan,0.5,0.2\n"),    # non-finite feature value
     ("multiclass", "1:1.0,0.5,inf\n"),    # non-finite cost
 ])
@@ -332,6 +343,13 @@ def test_option_out_of_range_exits_one(runner, tmp_path, args, message):
     assert_clean_exit(r, 1)
     assert f"error: {message}" in r.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("option", [["--rounds", "0"], ["--eps", "1"]])
+def test_counterexamples_option_checked_before_any_verdict(runner, option):
+    r = runner.invoke(cli.main, ["check", "counterexamples"] + option)
+    assert_clean_exit(r, 1)
+    assert "[PASS]" not in r.output and "[FAIL]" not in r.output
 
 
 def test_history_archive_round_trip(runner, tmp_path):
