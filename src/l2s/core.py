@@ -93,8 +93,9 @@ def act(policy, features):
 def argmin(scores, tie_break):
     """Index of the smallest score; ties go to the "lowest" or "highest" index."""
     best = min(scores)
-    idx = [i for i, s in enumerate(scores) if s == best]
-    return idx[-1] if tie_break == "highest" else idx[0]
+    if tie_break == "highest":
+        return len(scores) - 1 - scores[::-1].index(best)
+    return scores.index(best)
 
 
 class LinearPolicy(Policy):

@@ -83,14 +83,15 @@ class CostSensitiveLearner:
         self.updates += 1
         lr = self.eta0 / math.sqrt(self.updates)
         f = example.per_action_features
+        w = memoryview(self.weights)
         for b, c in zip(f.blocks, example.costs):
             # w -= lr * 2 * (w.x - c) * x on block b, live indices only
             offset = b * f.shared.dimension
-            g = 2.0 * lr * (sparse.dot(self.weights, f.shared, offset) - float(c))
+            g = 2.0 * lr * (sparse.dot(w, f.shared, offset) - float(c))
             if not math.isfinite(g):
                 raise Diverged(f"update step {g} at learning rate {lr}")
             for i, v in f.shared.pairs:
-                self.weights[offset + i] -= g * v
+                w[offset + i] -= g * v
 
     def policy(self):
         """Snapshot of the current argmin policy (weights copied)."""

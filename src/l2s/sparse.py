@@ -1,8 +1,19 @@
-"""Sparse feature vectors with a fixed ambient dimension."""
+"""Sparse feature vectors with a fixed ambient dimension.
+
+Every score and every gradient dot product in l2s is `dot`: an explicit
+left-to-right loop from 0 over Python floats read through a memoryview.
+Builtin `sum()` is deliberately not used: from Python 3.12 it sums
+floats with compensation, so `sum([1e16, 1.0, -1e16])` is 1.0 there and
+0.0 on 3.11, and model files would depend on the interpreter. Numpy
+reductions are not used either: they sum pairwise, in another order,
+and a gather costs more than it saves on states scored only once.
+"""
 
 import math
 import zlib
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DimensionMismatch
 
@@ -44,12 +55,14 @@ class ActionFeatures:
         return len(self.blocks)
 
     def scores(self, weights):
-        """Predicted cost of every action, each summed left to right."""
+        """Predicted cost of every action as a list of Python floats, each
+        summed left to right by `dot`."""
         if len(weights) != self.dimension:
             raise DimensionMismatch(
                 f"feature dimension {self.dimension} != weights {len(weights)}")
+        w = memoryview(np.asarray(weights, dtype=np.float64))
         base = self.shared.dimension
-        return [dot(weights, self.shared, b * base) for b in self.blocks]
+        return [dot(w, self.shared, b * base) for b in self.blocks]
 
 
 def from_pairs(pairs, dimension):
@@ -61,11 +74,21 @@ def from_pairs(pairs, dimension):
 
 
 def dot(weights, features, offset=0):
-    """sum(weights[offset + i] * v), left to right, inside `weights`."""
+    """The sum of weights[offset + i] * v over the pairs (i, v), added left
+    to right from 0, with `features` inside `weights`.
+
+    Pass a memoryview of float64 weights: its items are Python floats,
+    which multiply and add bit for bit as numpy float64 scalars do
+    without boxing each one. The range check runs before any read, as a
+    memoryview would wrap a negative index round to its end.
+    """
     if not 0 <= offset <= len(weights) - features.dimension:
         raise DimensionMismatch(f"features at {offset} + [0, {features.dimension})"
                                 f" outside weights {len(weights)}")
-    return sum(weights[offset + i] * v for i, v in features.pairs)
+    total = 0
+    for i, v in features.pairs:
+        total += weights[offset + i] * v
+    return total
 
 
 def hash_index(key, base):

@@ -113,6 +113,22 @@ def test_update_matches_materialised_sequential_steps():
         assert learner.ledger.cum_alg_cost == float(costs[chosen])
 
 
+def test_scores_and_update_add_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a left-to-right sum is 0.0; a
+    # compensated sum (builtin sum() over floats from Python 3.12) is 1.0
+    f = ActionFeatures(SparseFeatures(((0, 1.0), (1, 1.0), (2, 1.0)), 3),
+                       (0, 1), 6)
+    w = np.array([0.0, 0.0, 0.0, 1e16, 1.0, -1e16])
+    assert f.scores(w) == [0.0, 0.0]
+    learner = CostSensitiveLearner(f.dimension, eta0=0.3)
+    learner.weights[:] = w
+    costs = np.array([0.5, 2.0])
+    learner.update(CostSensitiveExample(f, costs))
+    want = w.copy()
+    reference_update(want, materialise(f), costs, 0.3)
+    assert bits(learner.weights) == bits(want)
+
+
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_weights_of_another_length_raise(delta):
     g = np.random.default_rng(3)
@@ -135,3 +151,8 @@ def test_blocks_outside_the_dimension_raise(blocks):
         f.scores(np.zeros(8))
     with pytest.raises(DimensionMismatch):
         CostSensitiveLearner(8).update(CostSensitiveExample(f, np.zeros(len(f))))
+    # nonzero costs would move any weight an out-of-range block reached
+    learner = CostSensitiveLearner(8)
+    with pytest.raises(DimensionMismatch):
+        learner.update(CostSensitiveExample(f, np.ones(len(f))))
+    assert not learner.weights.any()
