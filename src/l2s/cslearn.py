@@ -41,7 +41,7 @@ class CostSensitiveExample:
             raise EmptyActionSet("example with no actions")
         if len(self.per_action_features) != len(self.costs):
             raise DimensionMismatch("feature list and cost vector lengths differ")
-        if not np.all(np.isfinite(self.costs)):
+        if not all(map(math.isfinite, self.costs.tolist())):
             raise NonFiniteCost(f"costs {self.costs}")
 
 
@@ -75,19 +75,26 @@ class CostSensitiveLearner:
         """One sequential gradient pass over the example's (x, c) pairs.
 
         The ledger accrues the cost of the label predict() would have
-        chosen immediately before this update.
+        chosen immediately before this update. The scores taken for that
+        choice are reused as w.x for each block not yet written in this
+        update; only a repeated block is scored again.
         """
-        chosen = self.predict(example)
-        self.ledger.cum_alg_cost += float(example.costs[chosen])
+        f = example.per_action_features
+        scores = f.scores(self.weights)
+        costs = example.costs.tolist()
+        self.ledger.cum_alg_cost += costs[argmin(scores, "lowest")]
         self.ledger.count += 1
         self.updates += 1
         lr = self.eta0 / math.sqrt(self.updates)
-        f = example.per_action_features
         w = memoryview(self.weights)
-        for b, c in zip(f.blocks, example.costs):
+        written = set()
+        for b, c, wx in zip(f.blocks, costs, scores):
             # w -= lr * 2 * (w.x - c) * x on block b, live indices only
             offset = b * f.shared.dimension
-            g = 2.0 * lr * (sparse.dot(w, f.shared, offset) - float(c))
+            if b in written:
+                wx = sparse.dot(w, f.shared, offset)
+            written.add(b)
+            g = 2.0 * lr * (wx - c)
             if not math.isfinite(g):
                 raise Diverged(f"update step {g} at learning rate {lr}")
             for i, v in f.shared.pairs:

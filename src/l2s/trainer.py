@@ -8,6 +8,7 @@ minimum). The T examples are then fed to the online learner in decision
 order, and the updated policy snapshot is appended to the history.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,23 @@ class RolloutPlan:
 
 
 def extract_costs(rollout_losses):
-    """Shift rollout losses so the best action has cost exactly 0."""
-    losses = np.asarray(rollout_losses, dtype=np.float64)
-    if losses.size == 0:
+    """Shift rollout losses so the best action has cost exactly 0.
+
+    The same array as `losses - losses.min()` over float64 numpy arrays,
+    computed on Python floats.
+    """
+    losses = [float(x) for x in rollout_losses]
+    if not losses:
         raise NonFiniteCost("empty loss vector")
-    if not np.all(np.isfinite(losses)):
-        raise NonFiniteCost(f"losses {losses}")
-    return losses - losses.min()
+    if not all(map(math.isfinite, losses)):
+        raise NonFiniteCost(f"losses {np.array(losses)}")
+    low = min(losses)
+    if low == 0.0 and any(math.copysign(1.0, x) < 0.0
+                          for x in losses if x == 0.0):
+        # -0.0 - low depends on the sign of a zero low, and which of
+        # mixed-sign zeros numpy's min returns depends on its reduction
+        low = float(np.min(losses))
+    return np.array([x - low for x in losses])
 
 
 def draw_rollout_policy(plan, generator):
@@ -115,20 +126,24 @@ class Trainer:
             reference = task.reference_policy()  # may raise MissingGold
         # The learned policy reads the live weights, not a copy: no update
         # runs until every roll-out of this instance is done, so it stays
-        # frozen for the whole instance, as LinearPolicy's memo needs.
+        # frozen for the whole instance, as LinearPolicy's memo needs. It
+        # lives for this instance only, and so do the features it keeps.
         learned = core.LinearPolicy(self.learner.weights)
         roll_in = reference if self.plan.roll_in == "reference" else learned
 
-        # one roll-in pass collecting the states at every decision point
+        # one roll-in pass collecting the state at every decision point and
+        # its features, built once per feature key through `learned`, whose
+        # roll-in and roll-out choices then read them instead of building
         states = [task.start_state()]
+        features = [learned.features(task, states[0])]
         for _ in range(task.horizon - 1):
             s = states[-1]
             states.append(task.transition(s, roll_in.choose(task, s)))
+            features.append(learned.features(task, states[-1]))
 
         examples = []
         diag_actions, diag_costs = [], []
-        for s_t in states:
-            feats = task.action_features(s_t)
+        for s_t, feats in zip(states, features):
             losses = []
             for a in range(task.action_count(s_t)):
                 end, _ = complete_deviation(task, s_t, a, self.plan, reference,
@@ -136,7 +151,7 @@ class Trainer:
                 losses.append(core.end_loss(task, end))
             costs = extract_costs(losses)
             examples.append(CostSensitiveExample(feats, costs))
-            diag_costs.append([float(c) for c in costs])
+            diag_costs.append(costs.tolist())
             diag_actions.append(core.argmin(losses, "lowest"))
 
         for ex in examples:

@@ -44,6 +44,18 @@ def test_example_validation():
         CostSensitiveExample(f(0), np.array([np.nan]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 4),
+       st.booleans())
+def test_example_rejects_non_finite_costs(costs, bad, at, as_array):
+    costs = costs[:at] + [bad] + costs[at:]
+    given_costs = np.array(costs) if as_array else costs
+    with pytest.raises(NonFiniteCost) as err:
+        CostSensitiveExample(f(*range(len(costs)), dim=len(costs)), given_costs)
+    assert str(err.value) == f"costs {np.asarray(costs, dtype=np.float64)}"
+
+
 def test_predict_argmin_ties_lowest():
     learner = CostSensitiveLearner(4)
     assert learner.predict(ex([5.0, 5.0])) == 0  # all predictions are 0

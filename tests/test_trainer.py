@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l2s import rng, theory
 from l2s.errors import BadConfig, NoPolicies, NonFiniteCost
+from l2s.tasks import ParseTask, SequenceTask, gen_sequences, gen_trees
 from l2s.theory.exact import ExactModelTask
 from l2s.trainer import (
     RolloutPlan,
@@ -32,6 +34,36 @@ def test_extract_costs():
         extract_costs([1.0, np.inf])
     with pytest.raises(NonFiniteCost):
         extract_costs([])
+
+
+# finite losses: any float (signed zeros, subnormals, every magnitude),
+# zeros and subnormals often, and integers
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.integers(-2**70, 2**70),
+)
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FINITE, min_size=1, max_size=8))
+def test_extract_costs_equals_numpy_shift(losses):
+    a = np.asarray(losses, dtype=np.float64)
+    with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf on both sides
+        want = a - a.min()
+    got = extract_costs(losses)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(FINITE, max_size=6), NON_FINITE, st.integers(0, 6))
+def test_extract_costs_rejects_non_finite(losses, bad, at):
+    losses = losses[:at] + [bad] + losses[at:]
+    with pytest.raises(NonFiniteCost) as err:
+        extract_costs(losses)
+    assert str(err.value) == f"losses {np.asarray(losses, dtype=np.float64)}"
 
 
 def test_mixture_draw_frequencies():
@@ -181,3 +213,30 @@ def test_per_state_mixture_draws_along_rollout():
     ta, _, _, _ = run_rounds(model, plan_a, 15)
     tb, _, _, _ = run_rounds(model, plan_b, 15)
     assert not np.array_equal(ta.learner.weights, tb.learner.weights)
+
+
+@pytest.mark.parametrize("roll_in", ["learned", "reference"])
+@pytest.mark.parametrize("kind", ["sequence", "parse"])
+def test_one_feature_build_per_key_per_instance(kind, roll_in):
+    if kind == "sequence":
+        tasks = [SequenceTask(toks, tags, 4) for toks, tags in
+                 gen_sequences(4, 0, tag_count=4, min_len=3, max_len=6)]
+    else:
+        tasks = [ParseTask(toks, heads) for toks, heads in gen_trees(4, 0)]
+    plan = RolloutPlan(roll_in=roll_in, roll_out="mixture",
+                       draw_granularity="per_state", seed=0)
+    trainer = Trainer(tasks[0].dimension, plan, record_history=False)
+    for task in tasks:
+        build, keys = task.action_features, []
+
+        def recording(state, task=task, build=build, keys=keys):
+            keys.append(task.feature_key(state))
+            return build(state)
+
+        task.action_features = recording
+        for _ in range(3):
+            keys.clear()
+            examples, _ = trainer.process_example(task)
+            assert len(examples) == task.horizon
+            assert len(keys) == len(set(keys))
+        del task.action_features
