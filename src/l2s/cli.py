@@ -90,14 +90,13 @@ def train(config_path, out, history_out, diagnostics_out, **overrides):
     diag_fh = open(diagnostics_out, "w") if diagnostics_out else None
 
     def on_instance(diag):
-        if diag_fh:
-            diag_fh.write(json.dumps({"config": chash, **diag}) + "\n")
+        diag_fh.write(json.dumps({"config": chash, **diag}) + "\n")
 
     trainer = experiment.train(dataset, cfg.plan(), cfg.passes,
                                quality=cfg.reference_quality,
                                eta0=cfg.eta0, seed=cfg.seed,
                                record_history=bool(history_out),
-                               on_instance=on_instance)
+                               on_instance=on_instance if diag_fh else None)
     if diag_fh:
         diag_fh.close()
     trainer.learner.save(out)
@@ -182,7 +181,9 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     """Simulate bandit rounds; gold labels feed only the loss oracle.
 
     The policies and the (gold-free) reference never see the labels; the
-    seeded-random 'bad' reference quality is used for roll-outs.
+    'bad' reference quality is used for roll-outs. Each round builds a
+    fresh reference, whose (seed, REFERENCE) stream restarts, so its
+    draws repeat from round to round rather than vary.
     """
     _at_least(1, rounds=rounds)
     cfg, dataset = _config_and_data(config_path, overrides)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .errors import (
     EmptyActionSet,
     HorizonExceeded,
@@ -81,6 +82,25 @@ class Policy(ABC):
     @abstractmethod
     def choose(self, task, state) -> int:
         ...
+
+
+class SeededReference(Policy):
+    """A task's gold-derived reference of a quality and seed; subclasses
+    implement only `choose`. `generator`, the (seed, REFERENCE) substream,
+    is built at the first draw, so a reference that never draws builds
+    none, and a rebuilt reference restarts it."""
+
+    def __init__(self, task, quality, seed):
+        self.task = task
+        self.quality = quality
+        self.seed = seed
+        self._generator = None
+
+    @property
+    def generator(self):
+        if self._generator is None:
+            self._generator = rng.substream(self.seed, rng.REFERENCE)
+        return self._generator
 
 
 def act(policy, features):

@@ -223,7 +223,8 @@ def train(dataset, plan, passes, quality="optimal", eta0=0.5, seed=None,
     """Run the online loop over `passes` shuffled passes; returns the Trainer.
 
     `seed` (defaulting to the plan's) keys the shuffle and reference
-    substreams; `on_instance` receives each instance's diagnostics dict.
+    substreams; `on_instance` receives each instance's diagnostics dict,
+    completed with the instance's `post_update_loss`.
     """
     if seed is None:
         seed = plan.seed
@@ -235,8 +236,10 @@ def train(dataset, plan, passes, quality="optimal", eta0=0.5, seed=None,
                       record_history=record_history)
     for order in orders:
         for i in order:
-            _, diag = trainer.process_example(tasks[i], reference=refs[i])
+            examples, diag = trainer.process_example(tasks[i],
+                                                     reference=refs[i])
             if on_instance is not None:
+                diag["post_update_loss"] = trainer.post_update_loss(examples)
                 on_instance(diag)
     return trainer
 

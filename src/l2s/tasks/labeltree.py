@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from .. import rng
-from ..core import Policy, SearchTask, StateRef, argmin
+from ..core import SearchTask, SeededReference, StateRef, argmin
 from ..sparse import ActionFeatures, from_pairs, hash_index
 
 DEFAULT_BASE_BITS = 14
@@ -96,17 +95,12 @@ class LabelTreeTask(SearchTask):
         return TreeReference(self, quality, seed)
 
 
-class TreeReference(Policy):
+class TreeReference(SeededReference):
     """Descends toward the min-cost label (ties: left child).
 
     suboptimal follows the optimal choice with probability 1/2, bad is a
     seeded uniform choice over live actions.
     """
-
-    def __init__(self, task, quality, seed):
-        self.task = task
-        self.quality = quality
-        self.generator = rng.substream(seed, rng.REFERENCE)
 
     def choose(self, task, state):
         lo, hi = state.payload

@@ -12,8 +12,7 @@ The optimal reference takes a minimum-cost action under
 the gold arcs an action makes unreachable (see its docstring).
 """
 
-from .. import rng
-from ..core import Policy, SearchTask, StateRef, argmin
+from ..core import SearchTask, SeededReference, StateRef, argmin
 from ..errors import MissingGold
 from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
@@ -177,7 +176,7 @@ class ParseTask(SearchTask):
         return ParseReference(self, quality, seed)
 
 
-class ParseReference(Policy):
+class ParseReference(SeededReference):
     """Dynamic-oracle reference with controllable quality.
 
     optimal: a minimum-cost legal action (ties: lowest action id).
@@ -185,11 +184,6 @@ class ParseReference(Policy):
     otherwise a seeded arbitrary legal action.
     bad: a seeded arbitrary legal action.
     """
-
-    def __init__(self, task, quality, seed):
-        self.task = task
-        self.quality = quality
-        self.generator = rng.substream(seed, rng.REFERENCE)
 
     def choose(self, task, state):
         legal = self.task.legal_actions(state)

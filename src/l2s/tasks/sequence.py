@@ -1,7 +1,6 @@
 """Left-to-right sequence tagging under Hamming loss."""
 
-from .. import rng
-from ..core import Policy, SearchTask, StateRef
+from ..core import SearchTask, SeededReference, StateRef
 from ..errors import MissingGold
 from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
@@ -72,18 +71,13 @@ class SequenceTask(SearchTask):
         return SequenceReference(self, quality, seed)
 
 
-class SequenceReference(Policy):
+class SequenceReference(SeededReference):
     """Gold-tag reference with controllable quality.
 
     optimal: the gold tag at the current position.
     suboptimal: gold with probability 1/2, else a seeded uniform tag.
     bad: a seeded uniform tag.
     """
-
-    def __init__(self, task, quality, seed):
-        self.task = task
-        self.quality = quality
-        self.generator = rng.substream(seed, rng.REFERENCE)
 
     def choose(self, task, state):
         gold = self.task.gold_tags[state.depth]

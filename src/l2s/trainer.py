@@ -160,16 +160,18 @@ class Trainer:
         if self.record_history:
             self.history.append(self.learner.weights.copy())
 
-        post_loss = float(np.mean([
-            float(ex.costs[self.learner.predict(ex)]) for ex in examples
-        ])) if examples else 0.0
         diagnostics = {
             "instance": self.examples_seen,
             "best_actions": diag_actions,
             "cost_vectors": diag_costs,
-            "post_update_loss": post_loss,
         }
         return examples, diagnostics
+
+    def post_update_loss(self, examples):
+        """Mean cost of the current weights' prediction on `examples`."""
+        return float(np.mean([
+            float(ex.costs[self.learner.predict(ex)]) for ex in examples
+        ])) if examples else 0.0
 
     def averaged_policy(self, generator, include_initial=False):
         """Uniform sampler over the recorded policy snapshots."""

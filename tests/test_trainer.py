@@ -240,3 +240,24 @@ def test_one_feature_build_per_key_per_instance(kind, roll_in):
             assert len(examples) == task.horizon
             assert len(keys) == len(set(keys))
         del task.action_features
+
+
+def test_post_update_loss_is_computed_only_for_a_consumer(tmp_path, monkeypatch):
+    from l2s import experiment
+    from l2s.cslearn import CostSensitiveLearner
+    from l2s.tasks import gen_multiclass, write_multiclass
+    path = tmp_path / "mc.csv"
+    write_multiclass(path, gen_multiclass(6, 0))
+    dataset = experiment.load_dataset("multiclass", str(path))
+    plan = RolloutPlan(roll_in="learned", roll_out="mixture", seed=0)
+    scored = []
+    predict = CostSensitiveLearner.predict
+    monkeypatch.setattr(CostSensitiveLearner, "predict",
+                        lambda self, ex: scored.append(ex) or predict(self, ex))
+    experiment.train(dataset, plan, 2)
+    assert scored == []
+    rows = []
+    experiment.train(dataset, plan, 2, on_instance=rows.append)
+    horizon = experiment.make_task(dataset, 0).horizon
+    assert len(rows) == 12 and len(scored) == 12 * horizon
+    assert all(list(row)[-1] == "post_update_loss" for row in rows)
