@@ -13,6 +13,7 @@ import numpy as np
 
 from . import rng
 from .errors import (
+    BadConfig,
     EmptyActionSet,
     HorizonExceeded,
     NoLegalAction,
@@ -84,13 +85,22 @@ class Policy(ABC):
         ...
 
 
+REFERENCE_QUALITIES = ("optimal", "suboptimal", "bad")
+
+
 class SeededReference(Policy):
     """A task's gold-derived reference of a quality and seed; subclasses
-    implement only `choose`. `generator`, the (seed, REFERENCE) substream,
-    is built at the first draw, so a reference that never draws builds
-    none, and a rebuilt reference restarts it."""
+    implement only `choose`. A quality outside REFERENCE_QUALITIES is a
+    BadConfig here, so `choose` never meets one. `generator`, the
+    (seed, REFERENCE) substream, is built at the first draw, so a
+    reference that never draws builds none, and a rebuilt reference
+    restarts it."""
 
     def __init__(self, task, quality, seed):
+        if quality not in REFERENCE_QUALITIES:
+            raise BadConfig(
+                f"reference quality {quality!r} is not one of "
+                f"{REFERENCE_QUALITIES}")
         self.task = task
         self.quality = quality
         self.seed = seed
@@ -107,22 +117,16 @@ def act(policy, features):
     """Argmin of `features.scores(policy.weights)` (an ActionFeatures)."""
     if not features:
         raise EmptyActionSet("no actions to choose from")
-    return argmin(features.scores(policy.weights), policy.tie_break)
+    return argmin(features.scores(policy.weights))
 
 
-def argmin(scores, tie_break):
-    """Index of the smallest score; ties go to the "lowest" or "highest" index."""
-    best = min(scores)
-    if tie_break == "highest":
-        return len(scores) - 1 - scores[::-1].index(best)
-    return scores.index(best)
+def argmin(scores):
+    """Index of the smallest score; ties go to the lowest index."""
+    return scores.index(min(scores))
 
 
 class LinearPolicy(Policy):
     """Scores each action through its ActionFeatures and takes the argmin.
-
-    Ties are broken by `tie_break`: "lowest" (default) or "highest"
-    action index.
 
     `weights` must not change while the policy lives: `choose` memoises
     its action per `task.feature_key(state)`, so a roll-out revisiting a
@@ -132,9 +136,8 @@ class LinearPolicy(Policy):
     task's keys and start afresh when called with another task.
     """
 
-    def __init__(self, weights, tie_break="lowest"):
+    def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=np.float64)
-        self.tie_break = tie_break
         self._task, self._choices, self._features = None, {}, {}
 
     def choose(self, task, state):

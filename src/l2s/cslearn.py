@@ -69,7 +69,7 @@ class CostSensitiveLearner:
 
     def predict(self, example):
         """Argmin of predicted costs; ties go to the lowest action index."""
-        return argmin(example.per_action_features.scores(self.weights), "lowest")
+        return argmin(example.per_action_features.scores(self.weights))
 
     def update(self, example):
         """One sequential gradient pass over the example's (x, c) pairs.
@@ -82,7 +82,7 @@ class CostSensitiveLearner:
         f = example.per_action_features
         scores = f.scores(self.weights)
         costs = example.costs.tolist()
-        self.ledger.cum_alg_cost += costs[argmin(scores, "lowest")]
+        self.ledger.cum_alg_cost += costs[argmin(scores)]
         self.ledger.count += 1
         self.updates += 1
         lr = self.eta0 / math.sqrt(self.updates)

@@ -10,9 +10,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
-import numpy as np
-
 from . import core, rng
+from .core import REFERENCE_QUALITIES
 from .errors import BadConfig, DataFormatError, ModelTaskMismatch
 from .trainer import (
     ROLL_IN_CHOICES,
@@ -30,7 +29,6 @@ from .tasks import (
 )
 
 TASK_KINDS = ("sequence", "multiclass", "parse")
-REFERENCE_QUALITIES = ("optimal", "suboptimal", "bad")
 
 # metric name and direction per task kind
 METRICS = {
@@ -197,11 +195,10 @@ def task_dimension(dataset):
     return make_task(dataset, 0).dimension
 
 
-def _for_model(dataset, policy):
-    """`dataset` with the tag count of a sequence policy's weights, so a
+def _for_model(dataset, weights):
+    """`dataset` with the tag count of a sequence model's `weights`, so a
     held-out file lacking the top tags is still scored; a file with a tag
     beyond the model's keeps its own count, and so its mismatch."""
-    weights = getattr(policy, "weights", None)
     if dataset.kind != "sequence" or weights is None:
         return dataset
     tags, rest = divmod(len(weights), 1 << sequence.DEFAULT_BASE_BITS)
@@ -219,7 +216,7 @@ def pass_orders(n_instances, passes, seed):
 
 
 def train(dataset, plan, passes, quality="optimal", eta0=0.5, seed=None,
-          orders=None, record_history=False, on_instance=None):
+          record_history=False, on_instance=None):
     """Run the online loop over `passes` shuffled passes; returns the Trainer.
 
     `seed` (defaulting to the plan's) keys the shuffle and reference
@@ -230,11 +227,9 @@ def train(dataset, plan, passes, quality="optimal", eta0=0.5, seed=None,
         seed = plan.seed
     tasks = [make_task(dataset, i) for i in range(len(dataset.records))]
     refs = [t.reference_policy(quality, seed=seed) for t in tasks]
-    if orders is None:
-        orders = pass_orders(len(tasks), passes, seed)
     trainer = Trainer(task_dimension(dataset), plan, eta0=eta0,
                       record_history=record_history)
-    for order in orders:
+    for order in pass_orders(len(tasks), passes, seed):
         for i in order:
             examples, diag = trainer.process_example(tasks[i],
                                                      reference=refs[i])
@@ -246,18 +241,22 @@ def train(dataset, plan, passes, quality="optimal", eta0=0.5, seed=None,
 
 def evaluate(dataset, policy):
     """Task metric over a dataset. `policy` may be an averaged-policy
-    sampler (one historical snapshot drawn per instance) or a fixed
-    policy; returns (metric_name, value).
+    sampler (one historical snapshot drawn per instance, all of one
+    dimension) or a fixed policy; returns (metric_name, value).
     """
     name, _ = METRICS[dataset.kind]
+    sampled = hasattr(policy, "sample")
+    weights = (policy.snapshots[0] if sampled
+               else getattr(policy, "weights", None))
+    dataset = _for_model(dataset, weights)
+    dimension = task_dimension(dataset)
+    if weights is not None and len(weights) != dimension:
+        raise ModelTaskMismatch(
+            f"model dimension {len(weights)} != task {dimension}")
     total, weight = 0.0, 0
     for i in range(len(dataset.records)):
-        pol = policy.sample() if hasattr(policy, "sample") else policy
-        task = make_task(_for_model(dataset, pol), i)
-        if getattr(pol, "weights", None) is not None and \
-                len(pol.weights) != task.dimension:
-            raise ModelTaskMismatch(
-                f"model dimension {len(pol.weights)} != task {task.dimension}")
+        pol = policy.sample() if sampled else policy
+        task = make_task(dataset, i)
         end = core.execute(task, pol, task.start_state(), task.horizon)
         if dataset.kind == "multiclass":
             total += task.terminal_loss(end)
@@ -309,7 +308,6 @@ def run_grid(train_set, test_set, config):
     Every cell uses the same pass shuffles and reference seed; only the
     strategy (and its strategy-keyed substream) differs.
     """
-    orders = pass_orders(len(train_set.records), config.passes, config.seed)
     name, higher = METRICS[train_set.kind]
     cells = []
     for idx, (ri, ro) in enumerate(GRID_CELLS):
@@ -319,8 +317,8 @@ def run_grid(train_set, test_set, config):
                            seed=cell_seed)
         trainer = train(train_set, plan, config.passes,
                         quality=config.reference_quality, eta0=config.eta0,
-                        seed=config.seed, orders=orders)
-        _, value = evaluate(test_set, trainer.current_policy())
+                        seed=config.seed)
+        _, value = evaluate(test_set, trainer.learner.policy())
         cells.append(GridCell(ri, ro, cell_seed, value))
     return GridReport(name, higher, cells, config_hash(config))
 

@@ -1,6 +1,6 @@
-from .sequence import SequenceTask, SequenceReference, accuracy
+from .sequence import SequenceTask, SequenceReference
 from .labeltree import LabelTreeTask, TreeReference, leaf_path, split
-from .parse import ParseTask, ParseReference, uas
+from .parse import ParseTask, ParseReference
 from .io import (
     read_multiclass,
     read_sentences,
@@ -11,9 +11,9 @@ from .synth import gen_multiclass, gen_sequences, gen_trees
 from . import io, synth
 
 __all__ = [
-    "SequenceTask", "SequenceReference", "accuracy",
+    "SequenceTask", "SequenceReference",
     "LabelTreeTask", "TreeReference", "leaf_path", "split",
-    "ParseTask", "ParseReference", "uas",
+    "ParseTask", "ParseReference",
     "read_multiclass", "read_sentences",
     "write_multiclass", "write_sentences",
     "gen_multiclass", "gen_sequences", "gen_trees",

@@ -113,4 +113,4 @@ class TreeReference(SeededReference):
         left, right = split(lo, hi)
         lmin = self.task.costs[left[0]:left[1] + 1].min()
         rmin = self.task.costs[right[0]:right[1] + 1].min()
-        return argmin([lmin, rmin], "lowest")
+        return argmin([lmin, rmin])

@@ -191,18 +191,8 @@ class ParseReference(SeededReference):
             return int(self.generator.integers(len(legal)))
         costs = [self.task.action_cost(state.payload, a) for a in legal]
         if self.quality == "optimal":
-            return argmin(costs, "lowest")
-        if self.quality == "suboptimal":
-            zero = [i for i, c in enumerate(costs) if c == 0]
-            if len(zero) == 1:
-                return zero[0]
-            return int(self.generator.integers(len(legal)))
-        raise ValueError(f"unknown reference quality {self.quality!r}")
-
-
-def uas(task, predicted_heads):
-    """Fraction of tokens with the correct head."""
-    if task.gold_heads is None:
-        raise MissingGold("no gold heads")
-    right = sum(1 for p, g in zip(predicted_heads, task.gold_heads) if p == g)
-    return right / task.n
+            return argmin(costs)
+        zero = [i for i, c in enumerate(costs) if c == 0]
+        if len(zero) == 1:
+            return zero[0]
+        return int(self.generator.integers(len(legal)))

@@ -83,18 +83,6 @@ class SequenceReference(SeededReference):
         gold = self.task.gold_tags[state.depth]
         if self.quality == "optimal":
             return gold
-        if self.quality == "suboptimal":
-            if self.generator.random() < 0.5:
-                return gold
-            return int(self.generator.integers(self.task.tag_count))
-        if self.quality == "bad":
-            return int(self.generator.integers(self.task.tag_count))
-        raise ValueError(f"unknown reference quality {self.quality!r}")
-
-
-def accuracy(task, predicted_tags):
-    """Per-token tag accuracy against gold."""
-    if task.gold_tags is None:
-        raise MissingGold("no gold tags")
-    right = sum(1 for p, g in zip(predicted_tags, task.gold_tags) if p == g)
-    return right / len(task.gold_tags)
+        if self.quality == "suboptimal" and self.generator.random() < 0.5:
+            return gold
+        return int(self.generator.integers(self.task.tag_count))

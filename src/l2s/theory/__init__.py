@@ -7,10 +7,7 @@ from .exact import (
     enumerate_policies,
     exact_J,
     exact_Q,
-    exact_Q_policy,
-    parse_model,
     reference_policy,
-    serialize_model,
     state_distribution,
     two_level_chooser,
     indistinct_branch_chooser,

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..core import SearchTask, StateRef, Policy, argmin
-from ..errors import DataFormatError, IllegalAction, L2SError
+from ..errors import IllegalAction, L2SError
 from ..sparse import ActionFeatures, SparseFeatures
 
 
@@ -189,20 +189,6 @@ def exact_Q(model, policy, state, slot):
     return _expected_loss_from(model, policy, succ)
 
 
-def exact_Q_policy(model, rollout_policy, state, acting_policy):
-    """Q(s, pi'): expected loss of pi''s choice at s completed by rollout_policy."""
-    total = 0.0
-    for slot, q in acting_policy.slot_distribution(model, state):
-        total += q * exact_Q(model, rollout_policy, state, slot)
-    return total
-
-
-def min_slot_Q(model, policy, state):
-    """min_a Q^policy(state, a) over the state's live slots."""
-    return min(exact_Q(model, policy, state, slot)
-               for slot in range(len(model.edges[state])))
-
-
 # -- learning on an exact model --
 
 class ExactModelTask(SearchTask):
@@ -210,7 +196,7 @@ class ExactModelTask(SearchTask):
 
     States sharing a signature present identical per-slot features, so a
     linear policy is exactly a choice of label per signature (ties between
-    equal-label slots fall to the tie-break rule).
+    equal-label slots go to the lowest slot).
     """
 
     def __init__(self, model):
@@ -248,10 +234,6 @@ class ExactModelTask(SearchTask):
             raise IllegalAction(f"slot {action} at {state.payload}")
         return StateRef(state.depth + 1, edges[action][1])
 
-    def slot_feature(self, state_name, slot):
-        sig = self.model.signature(state_name)
-        return self.feature_index[(sig, sig[slot])]
-
     def feature_key(self, state):
         return self.model.signature(state.payload)
 
@@ -264,57 +246,11 @@ class ExactModelTask(SearchTask):
     def reference_policy(self, quality="optimal", seed=0):
         return reference_policy(self.model)
 
-    def learned_slot_policy(self, weights, tie_break="lowest"):
+    def learned_slot_policy(self, weights):
         """The deterministic SlotPolicy a weight vector induces."""
         return SlotPolicy({
-            sig: argmin(features.scores(weights), tie_break)
+            sig: argmin(features.scores(weights))
             for sig, features in self.signature_features.items()})
-
-
-# -- plain-text model DSL --
-
-def parse_model(text):
-    depths, edges, losses, ref = {}, {}, {}, {}
-    start = None
-    for no, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "state":
-                depths[parts[1]] = int(parts[2])
-            elif kind == "edge":
-                edges.setdefault(parts[1], []).append((parts[2], parts[3]))
-            elif kind == "loss":
-                losses[parts[1]] = float(parts[2])
-            elif kind == "start":
-                start = parts[1]
-            elif kind == "ref":
-                ref[parts[1]] = parts[2]
-            else:
-                raise DataFormatError(f"unknown directive {kind!r}", line=no)
-        except (IndexError, ValueError) as exc:
-            raise DataFormatError(str(exc), line=no)
-    if start is None:
-        raise DataFormatError("missing start directive")
-    return ExactModel(depths, edges, losses, start, ref).validate()
-
-
-def serialize_model(model):
-    lines = []
-    for s in sorted(model.depths, key=lambda s: (model.depths[s], s)):
-        lines.append(f"state {s} {model.depths[s]}")
-    for s, es in model.edges.items():
-        for label, nxt in es:
-            lines.append(f"edge {s} {label} {nxt}")
-    for s, l in model.losses.items():
-        lines.append(f"loss {s} {l:g}")
-    for s, label in model.ref.items():
-        lines.append(f"ref {s} {label}")
-    lines.append(f"start {model.start}")
-    return "\n".join(lines) + "\n"
 
 
 # -- the three fixture spaces --

@@ -117,9 +117,6 @@ class Trainer:
         self.examples_seen = 0
         self.mixture_rng = rng.substream(plan.seed, rng.MIXTURE)
 
-    def current_policy(self):
-        return self.learner.policy()
-
     def process_example(self, task, reference=None):
         """Run one structured example through the loop; returns diagnostics."""
         if reference is None:
@@ -152,7 +149,7 @@ class Trainer:
             costs = extract_costs(losses)
             examples.append(CostSensitiveExample(feats, costs))
             diag_costs.append(costs.tolist())
-            diag_actions.append(core.argmin(losses, "lowest"))
+            diag_actions.append(core.argmin(losses))
 
         for ex in examples:
             self.learner.update(ex)
@@ -172,13 +169,6 @@ class Trainer:
         return float(np.mean([
             float(ex.costs[self.learner.predict(ex)]) for ex in examples
         ])) if examples else 0.0
-
-    def averaged_policy(self, generator, include_initial=False):
-        """Uniform sampler over the recorded policy snapshots."""
-        pool = self.history if include_initial else self.history[1:]
-        if not pool:
-            raise NoPolicies("no trained policies to average over")
-        return AveragedPolicy(pool, generator)
 
 
 class AveragedPolicy:

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -88,6 +90,28 @@ def test_config_file_with_flag_override(runner, tmp_path):
     assert r.exit_code == 0, r.output
     from l2s.cslearn import CostSensitiveLearner
     assert CostSensitiveLearner.load(model).updates == 0  # override won
+
+
+def test_console_entry_exit_codes(tmp_path):
+    # `python -m l2s.cli` runs cli.entry(), the console script, which the
+    # CliRunner tests call around: it ends click's usage errors in exit 1
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("a\tx\n\n")
+    train = ["train", "--task", "sequence", "--data", str(bad)]
+    cases = [
+        (["check", "snake", "-T", "3"], 0, "[PASS] snake-T3"),
+        (train, 1, "Missing option '--out'"),
+        (["nope"], 1, "No such command 'nope'"),
+        (train + ["--out", str(tmp_path / "m")], 2, "data error: line 1"),
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for args, code, text in cases:
+        r = subprocess.run([sys.executable, "-m", "l2s.cli", *args], env=env,
+                           capture_output=True, text=True, timeout=300)
+        assert r.returncode == code, (args, r.stdout, r.stderr)
+        assert text in r.stdout + r.stderr, (args, r.stdout, r.stderr)
+        assert "Traceback" not in r.stderr
 
 
 def test_bad_config_key_exits_one(runner, tmp_path):

@@ -43,10 +43,10 @@ def test_linear_policy_argmin():
 
 
 def test_tie_breaks():
-    w = np.zeros(2)
-    feats = ActionFeatures(SparseFeatures(((0, 1.0),), 1), (0, 1), 2)
-    assert core.act(core.LinearPolicy(w, tie_break="lowest"), feats) == 0
-    assert core.act(core.LinearPolicy(w, tie_break="highest"), feats) == 1
+    # ties go to the lowest index: all three tie, then the last two
+    feats = ActionFeatures(SparseFeatures(((0, 1.0),), 1), (0, 1, 2), 3)
+    assert core.act(core.LinearPolicy(np.zeros(3)), feats) == 0
+    assert core.act(core.LinearPolicy(np.array([1.0, 0.0, 0.0])), feats) == 1
 
 
 def test_act_empty_action_set():
@@ -164,13 +164,12 @@ def test_memoised_choose_equals_act(kind):
         # distinct features, and the trained weights
         for w in (np.zeros(task.dimension),
                   np.round(g.normal(size=task.dimension)), trained):
-            for tb in ("lowest", "highest"):
-                pol = core.LinearPolicy(w, tb)
-                calls.clear()
-                for s in states:
-                    assert pol.choose(task, s) == core.act(
-                        core.LinearPolicy(w, tb), features(s))
-                assert len(calls) == len({task.feature_key(s) for s in states})
+            pol = core.LinearPolicy(w)
+            calls.clear()
+            for s in states:
+                assert pol.choose(task, s) == core.act(
+                    core.LinearPolicy(w), features(s))
+            assert len(calls) == len({task.feature_key(s) for s in states})
 
 
 def test_memo_starts_afresh_for_another_task():

@@ -4,6 +4,7 @@ and which choices they draw from it."""
 import pytest
 
 from l2s import rng
+from l2s.errors import BadConfig
 from l2s.tasks import (
     LabelTreeTask,
     ParseTask,
@@ -64,6 +65,13 @@ def test_building_a_reference_builds_no_stream(built, kind):
         for quality in QUALITIES:
             task.reference_policy(quality, seed=3)
     assert built == []
+
+
+@pytest.mark.parametrize("kind", sorted(TASKS))
+def test_unknown_quality_is_rejected_when_the_reference_is_built(kind):
+    task = TASKS[kind](1)[0]
+    with pytest.raises(BadConfig, match="nope"):
+        task.reference_policy("nope")
 
 
 @pytest.mark.parametrize("kind", sorted(TASKS))

@@ -93,9 +93,8 @@ def test_scores_and_argmin_match_materialised_layout():
         got = f.scores(w)
         assert bits(got) == bits(want)
         ties += len(set(want)) < len(want)
-        for tie_break in ("lowest", "highest"):
-            assert core.act(core.LinearPolicy(w, tie_break), f) == \
-                reference_argmin(want, tie_break)
+        assert core.act(core.LinearPolicy(w), f) == \
+            reference_argmin(want, "lowest")
     assert ties > 20
 
 

@@ -1,15 +1,10 @@
 """Exact enumeration oracles, identities, bounds, and failure demos."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from l2s import theory
 from l2s.core import LinearPolicy, StateRef, act
-from l2s.errors import DataFormatError, L2SError, TooLarge, TraceIncomplete
+from l2s.errors import L2SError, TooLarge, TraceIncomplete
 from l2s.theory import (
     TablePolicy,
     check_difference_identity,
@@ -18,13 +13,11 @@ from l2s.theory import (
     exact_J,
     exact_Q,
     one_step_deviations,
-    parse_model,
     random_models,
     reference_policy,
     reference_rollin_failure,
     reference_rollout_failure,
     run_training,
-    serialize_model,
     shared_feature_chooser,
     state_distribution,
     indistinct_branch_chooser,
@@ -151,61 +144,6 @@ def test_rollin_failure_report():
     assert r.unvisited_signatures == {("e", "f")}
     assert r.J_ref == 0.0
     assert r.worst_zero_regret_J == 100.0
-    # leaving the unvisited decision untrained still deploys terribly
-    assert r.uniform_at_unvisited_J == 50.0
-
-
-# Root edges a, b and c lead to three mid states and the reference takes
-# a, so the signatures (r, s) and (t, u) are never visited. The worst
-# zero-regret policy goes c -> u (loss 200); left uniform, (r, s) does not
-# change that, while (t, u) would halve it.
-THREE_BRANCHES = """
-state s1 0
-state m1 1
-state m2 1
-state m3 1
-state e1 2
-state e2 2
-state e3 2
-state e4 2
-state e5 2
-state e6 2
-edge s1 a m1
-edge s1 b m2
-edge s1 c m3
-edge m1 p e1
-edge m1 q e2
-edge m2 r e3
-edge m2 s e4
-edge m3 t e5
-edge m3 u e6
-loss e1 0
-loss e2 10
-loss e3 100
-loss e4 0
-loss e5 0
-loss e6 200
-ref s1 a
-ref m1 p
-ref m2 s
-ref m3 t
-start s1
-"""
-
-
-def test_rollin_failure_uniform_signature_ignores_hash_seed():
-    # the first unvisited signature in signatures() order is left uniform,
-    # whatever order the interpreter's string hashing gives the set
-    src = os.path.dirname(os.path.dirname(theory.__path__[0]))
-    code = ("import sys\n"
-            "from l2s.theory import parse_model, reference_rollin_failure\n"
-            "r = reference_rollin_failure(parse_model(sys.stdin.read()))\n"
-            "print(sorted(r.unvisited_signatures), r.uniform_at_unvisited_J)\n")
-    for hash_seed in ("0", "1"):
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], input=THREE_BRANCHES,
-                             env=env, capture_output=True, text=True, check=True)
-        assert out.stdout == "[('r', 's'), ('t', 'u')] 200.0\n"
 
 
 def test_rollout_failure_report():
@@ -221,27 +159,6 @@ def test_one_step_deviations_count():
     pol = TablePolicy({("a", "b"): "a", ("c", "d"): "c", ("e", "f"): "f"})
     devs = one_step_deviations(m, pol)
     assert len(devs) == 3  # one alternative label per signature
-
-
-# -- model DSL --
-
-def test_model_round_trip():
-    m = two_level_chooser()
-    back = parse_model(serialize_model(m))
-    assert back.depths == m.depths
-    assert back.edges == m.edges
-    assert back.losses == m.losses
-    assert back.ref == m.ref
-    assert back.start == m.start
-
-
-def test_model_dsl_errors():
-    with pytest.raises(DataFormatError):
-        parse_model("state s1 0\nloss s1 0\n")  # no start directive
-    with pytest.raises(DataFormatError):
-        parse_model("bogus s1\nstart s1\n")
-    with pytest.raises(DataFormatError):
-        parse_model("state s1 zero\nstart s1\n")
 
 
 def test_bad_eps_rejected():
@@ -270,15 +187,14 @@ def test_learned_slot_policy_agrees_with_act():
         task = ExactModelTask(model)
         # integer weights, so distinct labels tie as well as equal ones
         w = np.round(g.normal(size=task.dimension))
-        for tb in ("lowest", "highest"):
-            pol = task.learned_slot_policy(w, tie_break=tb)
-            for s in model.nonterminal_states():
-                state = StateRef(model.depths[s], s)
-                scores = [w[task.slot_feature(s, i)]
-                          for i in range(len(model.edges[s]))]
-                ties += scores.count(min(scores)) > 1
-                assert pol.slot_distribution(model, s) == [
-                    (act(LinearPolicy(w, tb), task.action_features(state)), 1.0)]
+        pol = task.learned_slot_policy(w)
+        for s in model.nonterminal_states():
+            state = StateRef(model.depths[s], s)
+            sig = model.signature(s)
+            scores = [w[task.feature_index[(sig, label)]] for label in sig]
+            ties += scores.count(min(scores)) > 1
+            assert pol.slot_distribution(model, s) == [
+                (act(LinearPolicy(w), task.action_features(state)), 1.0)]
     assert ties > 0
 
 

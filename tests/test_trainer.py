@@ -9,6 +9,7 @@ from l2s.errors import BadConfig, NoPolicies, NonFiniteCost
 from l2s.tasks import ParseTask, SequenceTask, gen_sequences, gen_trees
 from l2s.theory.exact import ExactModelTask
 from l2s.trainer import (
+    AveragedPolicy,
     RolloutPlan,
     Trainer,
     draw_rollout_policy,
@@ -166,12 +167,11 @@ def test_history_and_averaging_pool():
     trainer = Trainer(task.dimension, plan)
     g = rng.substream(0, rng.AVERAGING)
     with pytest.raises(NoPolicies):
-        trainer.averaged_policy(g)  # only the untrained initial policy
+        AveragedPolicy(trainer.history[1:], g)  # only the initial policy
     trainer.process_example(task)
-    avg = trainer.averaged_policy(g)
+    assert len(trainer.history) == 2
+    avg = AveragedPolicy(trainer.history[1:], g)
     assert len(avg.snapshots) == 1
-    avg_all = trainer.averaged_policy(g, include_initial=True)
-    assert len(avg_all.snapshots) == 2
 
 
 def test_averaged_policy_monte_carlo_mean():
