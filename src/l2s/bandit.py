@@ -16,6 +16,7 @@ import numpy as np
 from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
 from .errors import BadConfig, LossOutOfRange
+from .theory import exact as ex
 from .trainer import AveragedPolicy, RolloutPlan, complete_deviation
 
 
@@ -115,12 +116,6 @@ def _explore(state, task, loss_oracle, reference):
                                 exploration_record=record)
 
 
-def epsilon_schedule(k, horizon, n_rounds, policy_class_size):
-    """The theoretical exploration rate (KT)^{2/3} (log(N|Pi|)/N)^{1/3}."""
-    return ((k * horizon) ** (2.0 / 3.0)
-            * (np.log(n_rounds * policy_class_size) / n_rounds) ** (1.0 / 3.0))
-
-
 def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
                        seed=0):
     """Monte Carlo mean of the importance-weighted cost of `action` versus
@@ -129,8 +124,6 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
     The latest policy is frozen (no updates) so repeated exploration
     rounds are identically distributed.
     """
-    from .theory import exact as ex
-
     if trials < 2:
         raise BadConfig(f"trials {trials} must be at least 2")
     task = ex.ExactModelTask(model)

@@ -27,13 +27,19 @@ from .tasks import (
 )
 
 
-def _config_and_data(config_path, overrides):
-    """The resolved config and the dataset its `data` path names."""
+def _settings(config_path, overrides):
+    """The key=value settings given in the config file or by flag; a flag
+    overrides the file."""
     mapping = experiment.read_config(config_path) if config_path else {}
     for key, value in overrides.items():
         if value is not None:
             mapping[key] = value
-    cfg = experiment.build_config(mapping)
+    return mapping
+
+
+def _config_and_data(settings):
+    """The resolved config and the dataset its `data` path names."""
+    cfg = experiment.build_config(settings)
     if not cfg.data:
         raise BadConfig("data path is required")
     return cfg, experiment.load_dataset(cfg.task, cfg.data)
@@ -85,7 +91,7 @@ def main():
               help="optional JSON-lines per-instance diagnostics")
 def train(config_path, out, history_out, diagnostics_out, **overrides):
     """Train a model on a dataset and save it."""
-    cfg, dataset = _config_and_data(config_path, overrides)
+    cfg, dataset = _config_and_data(_settings(config_path, overrides))
     chash = experiment.config_hash(cfg)
     diag_fh = open(diagnostics_out, "w") if diagnostics_out else None
 
@@ -132,7 +138,7 @@ def eval_cmd(config_path, model_path, history_path, **overrides):
     """Evaluate a saved model on a dataset; prints the task metric."""
     if not model_path and not history_path:
         raise BadConfig("either --model or --history is required")
-    cfg, dataset = _config_and_data(config_path, overrides)
+    cfg, dataset = _config_and_data(_settings(config_path, overrides))
     if history_path:
         policy = AveragedPolicy(_trained_snapshots(history_path),
                                 rng.substream(cfg.seed, rng.AVERAGING))
@@ -149,7 +155,7 @@ def eval_cmd(config_path, model_path, history_path, **overrides):
               help="machine-readable JSON grid report")
 def grid(config_path, out, **overrides):
     """Run all six roll-in x roll-out combinations and tabulate them."""
-    cfg, dataset = _config_and_data(config_path, overrides)
+    cfg, dataset = _config_and_data(_settings(config_path, overrides))
     if cfg.test_data:
         train_set = dataset
         test_set = experiment.load_dataset(cfg.task, cfg.test_data)
@@ -180,13 +186,18 @@ def grid(config_path, out, **overrides):
 def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     """Simulate bandit rounds; gold labels feed only the loss oracle.
 
-    The policies and the (gold-free) reference never see the labels; the
-    'bad' reference quality is used for roll-outs. Each round builds a
-    fresh reference, whose (seed, REFERENCE) stream restarts, so its
-    draws repeat from round to round rather than vary.
+    The policies and the reference never see the labels: roll-outs use
+    the 'bad' reference quality, the one that reads no gold, and any
+    other given reference_quality is a config error. Round r's reference
+    draws from its own stream, seeded by (seed, REFERENCE, r).
     """
     _at_least(1, rounds=rounds)
-    cfg, dataset = _config_and_data(config_path, overrides)
+    settings = _settings(config_path, overrides)
+    quality = settings.get("reference_quality", "bad")
+    if quality != "bad":
+        raise BadConfig(f"bandit roll-outs use the 'bad' reference, which "
+                        f"reads no gold labels, not {quality!r}")
+    cfg, dataset = _config_and_data(settings)
     state = banditmod.BanditState(
         experiment.task_dimension(dataset), epsilon=epsilon,
         beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)
@@ -196,7 +207,8 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     for round_id in range(rounds):
         i = int(pick.integers(len(dataset.records)))
         task = experiment.make_task(dataset, i, normalize_loss=True)
-        reference = task.reference_policy("bad", seed=cfg.seed)
+        reference = task.reference_policy(
+            "bad", seed=rng.derive_seed(cfg.seed, rng.REFERENCE, round_id))
         state, outcome = banditmod.bandit_step(
             state, task, lambda end: core.end_loss(task, end), reference)
         if outcome.mode == "exploited":
@@ -312,12 +324,10 @@ def unbiasedness(trials, beta, seed):
     """Monte Carlo mean of the importance-weighted cost vs enumeration."""
     _at_least(0, seed=seed)
     model = theory.shared_feature_chooser()
-    from .theory import exact as ex
-    task = ex.ExactModelTask(model)
-    weights = np.zeros(task.dimension)
+    weights = np.zeros(theory.ExactModelTask(model).dimension)
     ok = True
     details = []
-    for action in range(task.action_arity_bound):
+    for action in range(max(len(e) for e in model.edges.values())):
         mc, exact_value, sd = banditmod.unbiasedness_probe(
             model, weights, action, trials, beta=beta, seed=seed)
         se = sd / np.sqrt(trials)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from ..errors import BadConfig
 from ..trainer import RolloutPlan
-from . import exact
 from .bounds import run_training
 from .exact import (
     TablePolicy,
@@ -25,7 +24,7 @@ ROLLIN_ROUNDS = 40
 def _expected_example_cost(model, task, policy, example):
     """Expected cost a (possibly stochastic) class policy pays on an example."""
     sig = task.feature_signature[example.per_action_features.blocks[0]]
-    dist = policy.slot_distribution(model, task.signature_state[sig])
+    dist = policy.slot_distribution(model, model.signature_state[sig])
     return sum(p * float(example.costs[slot]) for slot, p in dist)
 
 
@@ -76,9 +75,8 @@ class RolloutFailureReport:
 def one_step_deviations(model, policy):
     """All policies differing from `policy` at exactly one signature."""
     out = []
-    states = exact.ExactModelTask(model).signature_state
-    base = {sig: sig[policy.slot_distribution(model, states[sig])[0][0]]
-            for sig in model.signatures()}
+    base = {sig: sig[policy.slot_distribution(model, state)[0][0]]
+            for sig, state in model.signature_state.items()}
     for sig in model.signatures():
         for label in sorted(set(sig)):
             if label == base[sig]:

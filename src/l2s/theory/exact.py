@@ -19,42 +19,51 @@ from ..sparse import ActionFeatures, SparseFeatures
 
 @dataclass
 class ExactModel:
+    """A search space, checked and indexed once, when it is built.
+
+    Construction raises L2SError unless the start state has a depth,
+    every non-terminal state has actions and every edge leads one depth
+    down. It derives `horizon`, each state's signature and
+    `signature_state`, each signature's first non-terminal state in
+    (depth, name) order.
+    """
+
     depths: dict
     edges: dict  # state -> list of (label, next_state), ordered action slots
     losses: dict  # terminal state -> loss
     start: str
     ref: dict = field(default_factory=dict)  # state -> reference label
 
-    @property
-    def horizon(self):
-        return max(self.depths.values())
+    def __post_init__(self):
+        if self.start not in self.depths:
+            raise L2SError(f"start state {self.start} has no depth")
+        self.horizon = max(self.depths.values())
+        self._signature = {}
+        self.signature_state = {}
+        for s in sorted(self.depths, key=lambda s: (self.depths[s], s)):
+            edges = self.edges.get(s, ())
+            self._signature[s] = sig = tuple(label for label, _ in edges)
+            if self.is_terminal(s):
+                continue
+            if not edges:
+                raise L2SError(f"non-terminal state {s} has no actions")
+            for _, nxt in edges:
+                if self.depths.get(nxt) != self.depths[s] + 1:
+                    raise L2SError(f"edge {s}->{nxt} does not lead one depth down")
+            self.signature_state.setdefault(sig, s)
 
     def is_terminal(self, s):
         return s in self.losses
 
     def signature(self, s):
-        return tuple(label for label, _ in self.edges.get(s, ()))
+        return self._signature[s]
 
     def nonterminal_states(self):
         return [s for s in self.depths if not self.is_terminal(s)]
 
     def signatures(self):
         """Distinct signatures over non-terminal states, in first-seen order."""
-        seen = {}
-        for s in sorted(self.nonterminal_states(), key=lambda s: (self.depths[s], s)):
-            seen.setdefault(self.signature(s), None)
-        return list(seen)
-
-    def validate(self):
-        for s, d in self.depths.items():
-            if self.is_terminal(s):
-                continue
-            if not self.edges.get(s):
-                raise L2SError(f"non-terminal state {s} has no actions")
-            for _, nxt in self.edges[s]:
-                if self.depths[nxt] != d + 1:
-                    raise L2SError(f"edge {s}->{nxt} does not increase depth by 1")
-        return self
+        return list(self.signature_state)
 
 
 class ExactPolicy(Policy):
@@ -139,7 +148,7 @@ def reference_policy(model):
     """
     slots = {}
     for s, label in model.ref.items():
-        sig = model.signature(s)
+        sig = model.signature(s) if s in model.depths else ()
         if label not in sig:
             raise L2SError(f"reference label {label!r} not available at {s}")
         slots[s] = sig.index(label)
@@ -200,7 +209,6 @@ class ExactModelTask(SearchTask):
     """
 
     def __init__(self, model):
-        model.validate()
         self.model = model
         self.horizon = model.horizon
         self.feature_index = {}
@@ -213,14 +221,9 @@ class ExactModelTask(SearchTask):
             sig: ActionFeatures(SparseFeatures(((0, 1.0),), 1), tuple(
                 self.feature_index[(sig, label)] for label in sig), self.dimension)
             for sig in model.signatures()}
-        # feature index -> its signature; signature -> its first state
+        # feature index -> its signature
         self.feature_signature = {
             i: sig for (sig, _), i in self.feature_index.items()}
-        self.signature_state = {}
-        for s in model.nonterminal_states():
-            self.signature_state.setdefault(model.signature(s), s)
-        self.action_arity_bound = max(
-            (len(e) for e in model.edges.values()), default=1)
 
     def start_state(self):
         return StateRef(0, self.model.start)
@@ -255,48 +258,34 @@ class ExactModelTask(SearchTask):
 
 # -- the three fixture spaces --
 
-def two_level_chooser():
-    """Two independent branch points; reference avoids the 100-loss arm."""
+def _chooser(labels, losses, ref):
+    """The fixtures' one layout: root s1 branches to s2 and s3, s2 to leaves
+    e1 and e2, s3 to e3 and e4. `labels` are the six slot labels in that
+    order, `losses` the four leaf losses and `ref` the labels at s1, s2, s3.
+    """
+    a, b, c, d, e, f = labels
     return ExactModel(
         depths={"s1": 0, "s2": 1, "s3": 1, "e1": 2, "e2": 2, "e3": 2, "e4": 2},
-        edges={
-            "s1": [("a", "s2"), ("b", "s3")],
-            "s2": [("c", "e1"), ("d", "e2")],
-            "s3": [("e", "e3"), ("f", "e4")],
-        },
-        losses={"e1": 0.0, "e2": 10.0, "e3": 100.0, "e4": 0.0},
+        edges={"s1": [(a, "s2"), (b, "s3")], "s2": [(c, "e1"), (d, "e2")],
+               "s3": [(e, "e3"), (f, "e4")]},
+        losses=dict(zip(("e1", "e2", "e3", "e4"), losses)),
         start="s1",
-        ref={"s1": "a", "s2": "c", "s3": "f"},
-    ).validate()
+        ref=dict(zip(("s1", "s2", "s3"), ref)),
+    )
+
+
+def two_level_chooser():
+    """Two independent branch points; reference avoids the 100-loss arm."""
+    return _chooser("abcdef", (0.0, 10.0, 100.0, 0.0), "acf")
 
 
 def indistinct_branch_chooser():
     """Same space, but both branches at the root carry the same feature."""
-    return ExactModel(
-        depths={"s1": 0, "s2": 1, "s3": 1, "e1": 2, "e2": 2, "e3": 2, "e4": 2},
-        edges={
-            "s1": [("a", "s2"), ("a", "s3")],
-            "s2": [("c", "e1"), ("d", "e2")],
-            "s3": [("e", "e3"), ("f", "e4")],
-        },
-        losses={"e1": 0.0, "e2": 10.0, "e3": 100.0, "e4": 0.0},
-        start="s1",
-        ref={"s1": "a", "s2": "c", "s3": "f"},
-    ).validate()
+    return _chooser("aacdef", (0.0, 10.0, 100.0, 0.0), "acf")
 
 
 def shared_feature_chooser(eps=0.1):
     """Two mid states share one signature; myopic rollouts prefer the worse arm."""
     if not 0.0 < eps < 1.0:
         raise L2SError(f"eps {eps} outside (0, 1)")
-    return ExactModel(
-        depths={"s1": 0, "s2": 1, "s3": 1, "e1": 2, "e2": 2, "e3": 2, "e4": 2},
-        edges={
-            "s1": [("a", "s2"), ("b", "s3")],
-            "s2": [("c", "e1"), ("d", "e2")],
-            "s3": [("c", "e3"), ("d", "e4")],
-        },
-        losses={"e1": 1.0, "e2": 1.0 - eps, "e3": 1.0 + eps, "e4": 0.0},
-        start="s1",
-        ref={"s1": "a", "s2": "c", "s3": "c"},
-    ).validate()
+    return _chooser("abcdcd", (1.0, 1.0 - eps, 1.0 + eps, 0.0), "acc")

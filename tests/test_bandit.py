@@ -146,13 +146,6 @@ def test_exploration_count_concentrates():
     assert abs(state.n_explore - 1000) <= 90
 
 
-def test_epsilon_schedule_formula():
-    val = bandit.epsilon_schedule(k=2, horizon=3, n_rounds=100,
-                                  policy_class_size=8)
-    expect = (2 * 3) ** (2 / 3) * (np.log(100 * 8) / 100) ** (1 / 3)
-    assert val == pytest.approx(expect)
-
-
 def test_unbiased_cost_estimate():
     # frozen latest policy: Monte Carlo mean of the one-hot estimate must
     # approach the enumerated mixture expectation for every action

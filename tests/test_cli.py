@@ -188,6 +188,42 @@ def test_bandit_without_exploit_round_reports_no_loss(runner, tmp_path):
                         "exploit-loss (last 0): n/a\n")
 
 
+def test_bandit_reference_draws_vary_across_rounds(runner, tmp_path):
+    # every round explores; among the rounds that take the same action
+    # at the root of one instance and roll out with the reference, some
+    # end with different losses, so at different leaves
+    data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
+    log = tmp_path / "log.jsonl"
+    r = runner.invoke(cli.main, ["bandit", "--task", "multiclass",
+                                 "--data", str(data), "--rounds", "200",
+                                 "--epsilon", "1", "--log-out", str(log)])
+    assert r.exit_code == 0, r.output
+    ends = {}
+    for row in map(json.loads, log.read_text().splitlines()):
+        if row["t"] == 0 and row["rollout"] == "reference":
+            ends.setdefault((row["instance"], row["action"]), set()).add(
+                row["loss"])
+    assert any(len(losses) > 1 for losses in ends.values())
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bandit_rejects_gold_reading_reference(runner, tmp_path, source):
+    data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
+    args = ["bandit", "--task", "multiclass", "--data", str(data),
+            "--rounds", "5"]
+    if source == "flag":
+        args += ["--reference-quality", "optimal"]
+    else:
+        cfgfile = tmp_path / "bandit.cfg"
+        cfgfile.write_text("reference_quality = suboptimal\n")
+        args += ["--config", str(cfgfile)]
+    r = runner.invoke(cli.main, args)
+    assert_clean_exit(r, 1)
+    assert "error: bandit roll-outs use the 'bad' reference" in r.output
+    r = runner.invoke(cli.main, args + ["--reference-quality", "bad"])
+    assert r.exit_code == 0, r.output
+
+
 def test_check_suites_pass(runner):
     r = runner.invoke(cli.main, ["check", "identity", "--models", "10"])
     assert r.exit_code == 0, r.output

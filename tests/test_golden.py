@@ -1,10 +1,11 @@
-"""Golden digests of CLI output files.
+"""Golden digests of CLI output files, and the exact text of the checks.
 
-Each case writes a small seeded data file with `l2s.tasks.synth`, runs
-one `l2s` command on it and compares the sha256 of every file the
-command writes with a recorded value. A change meant to leave outputs
-alone must leave these digests alone; a change meant to alter them
-records the new digests and says why.
+Each train or bandit case writes a small seeded data file with
+`l2s.tasks.synth`, runs one `l2s` command on it and compares the sha256
+of every file the command writes with a recorded value. Each check case
+compares the stdout of one `l2s check` suite with its recorded text. A
+change meant to leave outputs alone must leave these values alone; a
+change meant to alter them records the new values and says why.
 """
 
 import hashlib
@@ -65,11 +66,11 @@ def test_train_diagnostics_and_model_digests(tmp_path, monkeypatch, kind):
 BANDIT_CASES = {
     # kind: (instances, rounds, log sha256); data seed 8, --epsilon 0.3
     "multiclass": (60, 500,
-                   "362701c52a643437b594da6a5ad84fd71e2c8d048f6dab00dfaf0564696922c3"),
+                   "7e105916bf3c340ee84915f9e2b282df7ac232948e52f2ba4c3f9755f8d33fa4"),
     "parse": (30, 200,
-              "aab97ee8ec72dd6587c2cffde51bde7b6bf410a7d918512b094a664d354f8d80"),
+              "423fac1add6744c3a9925519a7c30f6b5109dea863de7da7cbf6bea0e948a5b9"),
     "sequence": (30, 200,
-                 "3cf6cfbc8c8473b798aa33d160f900673bb565e6c400880bed1813a1a9cd77cc"),
+                 "35f97d65585ed3795eed880e6501229dad8c392b5691b11e49e5885f96747d6d"),
 }
 
 
@@ -84,3 +85,32 @@ def test_bandit_log_digest(tmp_path, monkeypatch, kind):
         "--log-out", "log.jsonl"])
     assert r.exit_code == 0, r.output
     assert sha256("log.jsonl") == log_sha
+
+
+CHECK_CASES = {
+    # arguments of `l2s check`: its exact stdout
+    ("identity",):
+        "[PASS] difference-identity: 100 models x 10 pairs, "
+        "max deviation 8.88e-16\n",
+    ("bound", "--models", "5", "--rounds", "10"):
+        "[PASS] regret-bound: 25/25 model x beta runs satisfied\n",
+    ("counterexamples", "--rounds", "100"):
+        "[PASS] reference-rollin-failure: unvisited [('e', 'f')], "
+        "worst zero-regret J 100 vs reference J 0\n"
+        "[PASS] reference-rollout-failure: learned J 0.9, "
+        "best deviation J 0, mixture J 0\n",
+    ("snake", "-T", "4"):
+        "[PASS] snake-T4: 7 updates along "
+        "0000->0001->0011->0111->0110->1110->1100->1101\n",
+    ("unbiasedness", "--trials", "2000"):
+        "[PASS] bandit-unbiasedness: "
+        "a0: mc 0.9740 exact 1.0000 (3se 0.0671); "
+        "a1: mc 1.0268 exact 1.0000 (3se 0.0678)\n",
+}
+
+
+@pytest.mark.parametrize("args", list(CHECK_CASES), ids=" ".join)
+def test_check_output(args):
+    r = CliRunner().invoke(cli.main, ["check", *args])
+    assert r.exit_code == 0, r.output
+    assert r.output == CHECK_CASES[args]

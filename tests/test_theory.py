@@ -6,6 +6,7 @@ import pytest
 from l2s.core import LinearPolicy, StateRef, act
 from l2s.errors import L2SError, TooLarge, TraceIncomplete
 from l2s.theory import (
+    ExactModel,
     TablePolicy,
     check_difference_identity,
     check_regret_bound,
@@ -33,6 +34,31 @@ from l2s.theory.snake import (
     snake_lower_bound,
 )
 from l2s.trainer import RolloutPlan
+
+
+# -- model construction --
+
+@pytest.mark.parametrize("start,edges,message", [
+    ("x", {"s": [("a", "m")], "m": [("b", "e")]}, "start state x has no depth"),
+    ("s", {"s": [("a", "m")]}, "non-terminal state m has no actions"),
+    ("s", {"s": [("a", "e")], "m": [("b", "e")]},
+     "edge s->e does not lead one depth down"),
+    ("s", {"s": [("a", "m")], "m": [("b", "x")]},
+     "edge m->x does not lead one depth down"),
+], ids=["no-start", "no-actions", "skips-depth", "unlisted-state"])
+def test_invalid_model_rejected_when_built(start, edges, message):
+    with pytest.raises(L2SError, match=message):
+        ExactModel(depths={"s": 0, "m": 1, "e": 2}, edges=edges,
+                   losses={"e": 0.0}, start=start)
+
+
+def test_model_indexed_when_built():
+    m = shared_feature_chooser(0.1)
+    assert m.horizon == 2
+    assert m.signature("s3") == ("c", "d") and m.signature("e1") == ()
+    # s2 and s3 share a signature; its first state in (depth, name) order
+    assert m.signature_state == {("a", "b"): "s1", ("c", "d"): "s2"}
+    assert m.signatures() == [("a", "b"), ("c", "d")]
 
 
 # -- exact evaluation --
