@@ -16,7 +16,7 @@ import numpy as np
 from . import bandit as banditmod
 from . import core, experiment, rng, theory
 from .cslearn import CostSensitiveLearner
-from .errors import BadConfig, DataFormatError, L2SError
+from .errors import BadConfig, DataFormatError, L2SError, ModelTaskMismatch
 from .trainer import AveragedPolicy, RolloutPlan
 from .tasks import (
     gen_multiclass,
@@ -159,6 +159,12 @@ def grid(config_path, out, **overrides):
     if cfg.test_data:
         train_set = dataset
         test_set = experiment.load_dataset(cfg.task, cfg.test_data)
+        # multiclass only: the label tree's node keys depend on the count
+        trained, held_out = (d.meta.get("label_count")
+                             for d in (train_set, test_set))
+        if trained != held_out:
+            raise ModelTaskMismatch(f"test data has {held_out} labels, "
+                                    f"training data {trained}")
     else:
         train_set, test_set = experiment.split_dataset(dataset)
     report = experiment.run_grid(train_set, test_set, cfg)
@@ -198,6 +204,15 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
         raise BadConfig(f"bandit roll-outs use the 'bad' reference, which "
                         f"reads no gold labels, not {quality!r}")
     cfg, dataset = _config_and_data(settings)
+    if dataset.kind == "multiclass":
+        # a multiclass cost is the bandit's loss as it stands; sequence
+        # and parse losses lie in [0, 1] by construction
+        for no, (_, costs) in enumerate(dataset.records, 1):
+            bad = [c for c in costs if not 0.0 <= c <= 1.0]
+            if bad:
+                raise DataFormatError(f"{cfg.data}: instance {no} has cost "
+                                      f"{bad[0]} outside the bandit's loss "
+                                      "range [0, 1]")
     state = banditmod.BanditState(
         experiment.task_dimension(dataset), epsilon=epsilon,
         beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)

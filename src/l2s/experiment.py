@@ -51,7 +51,6 @@ class ExperimentConfig:
     roll_in: str = "learned"
     roll_out: str = "mixture"
     beta: float = 0.5
-    draw_granularity: str = "per_rollout"
     passes: int = 5
     seed: int = 0
     eta0: float = 0.5
@@ -68,14 +67,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value < 0:
                 raise BadConfig(f"{name} {value} must not be negative")
-        # plan validation re-checks roll_in/roll_out/beta/draw_granularity
+        # plan validation re-checks roll_in/roll_out/beta
         self.plan()
 
     def plan(self):
         return RolloutPlan(roll_in=self.roll_in, roll_out=self.roll_out,
-                           beta=self.beta,
-                           draw_granularity=self.draw_granularity,
-                           seed=self.seed)
+                           beta=self.beta, seed=self.seed)
 
     def items(self):
         return [(f.name, getattr(self, f.name)) for f in fields(self)]
@@ -312,9 +309,8 @@ def run_grid(train_set, test_set, config):
     cells = []
     for idx, (ri, ro) in enumerate(GRID_CELLS):
         cell_seed = rng.derive_seed(config.seed, rng.GRID, idx)
-        plan = RolloutPlan(roll_in=ri, roll_out=ro, beta=config.beta,
-                           draw_granularity=config.draw_granularity,
-                           seed=cell_seed)
+        plan = replace(config.plan(), roll_in=ri, roll_out=ro,
+                       seed=cell_seed)
         trainer = train(train_set, plan, config.passes,
                         quality=config.reference_quality, eta0=config.eta0,
                         seed=config.seed)

@@ -37,7 +37,8 @@ def read_sentences(path):
     """Returns a list of (tokens, tags or None, heads or None).
 
     Tags must be non-negative; the head of token i (1-based) must lie in
-    0..n and differ from i.
+    0..n and differ from i, and a sentence's heads must form one tree:
+    exactly one token headed by 0, reached from every token.
     """
     sentences = []
     tokens, tags, heads, lines = [], [], [], []
@@ -66,6 +67,8 @@ def read_sentences(path):
                 raise DataFormatError(f"head {sent_heads[i]} outside 0..{n}", line=no)
             if sent_heads and sent_heads[i] == i + 1:
                 raise DataFormatError(f"token {i + 1} is its own head", line=no)
+        if sent_heads:
+            _check_one_tree(sent_heads, lines[0])
         sentences.append((list(tokens), sent_tags, sent_heads))
         tokens.clear(), tags.clear(), heads.clear(), lines.clear()
 
@@ -84,6 +87,25 @@ def read_sentences(path):
             lines.append(no)
         flush()
     return sentences
+
+
+def _check_one_tree(heads, line):
+    """DataFormatError unless exactly one token is headed by 0 and every
+    token reaches it through its heads: the one tree an arc-hybrid parse
+    can build."""
+    roots = heads.count(0)
+    if roots != 1:
+        raise DataFormatError(f"{roots} tokens headed by 0, need exactly 1",
+                              line=line)
+    for i in range(1, len(heads) + 1):
+        j = i
+        for _ in range(len(heads)):
+            j = heads[j - 1]
+            if j == 0:
+                break
+        else:
+            raise DataFormatError(f"token {i} does not reach the root "
+                                  "through its heads", line=line)
 
 
 def write_multiclass(path, examples):

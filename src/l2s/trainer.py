@@ -19,7 +19,6 @@ from .errors import BadConfig, NonFiniteCost, NoPolicies
 
 ROLL_IN_CHOICES = ("reference", "learned")
 ROLL_OUT_CHOICES = ("reference", "learned", "mixture")
-DRAW_CHOICES = ("per_rollout", "per_state")
 
 
 @dataclass
@@ -29,7 +28,6 @@ class RolloutPlan:
     roll_in: str = "learned"
     roll_out: str = "mixture"
     beta: float = 0.5
-    draw_granularity: str = "per_rollout"
     seed: int = 0
 
     def __post_init__(self):
@@ -37,8 +35,6 @@ class RolloutPlan:
             raise BadConfig(f"roll_in must be one of {ROLL_IN_CHOICES}")
         if self.roll_out not in ROLL_OUT_CHOICES:
             raise BadConfig(f"roll_out must be one of {ROLL_OUT_CHOICES}")
-        if self.draw_granularity not in DRAW_CHOICES:
-            raise BadConfig(f"draw_granularity must be one of {DRAW_CHOICES}")
         if not 0.0 <= self.beta <= 1.0:
             raise BadConfig(f"beta {self.beta} outside [0, 1]")
 
@@ -63,43 +59,19 @@ def extract_costs(rollout_losses):
     return np.array([x - low for x in losses])
 
 
-def draw_rollout_policy(plan, generator):
-    """One Bernoulli(beta) draw: 'reference' or 'learned'."""
-    return "reference" if generator.random() < plan.beta else "learned"
-
-
-class _Mixture(core.Policy):
-    """Reference with probability beta, else learned: `draw` picks one of
-    them for a whole roll-out, `choose` draws afresh at every state."""
-
-    def __init__(self, plan, reference, learned, generator):
-        self.plan = plan
-        self.reference = reference
-        self.learned = learned
-        self.generator = generator
-
-    def draw(self):
-        kind = draw_rollout_policy(self.plan, self.generator)
-        return self.reference if kind == "reference" else self.learned
-
-    def choose(self, task, state):
-        return self.draw().choose(task, state)
-
-
 def complete_deviation(task, state, action, plan, reference, learned,
                        generator):
     """Take `action` at `state`, then finish the trajectory with the
     policy `plan.roll_out` picks: the reference, the learned policy, or
-    their mixture, drawn from `generator` once per roll-out or at every
-    state. Returns (end state, roll-out policy)."""
+    for the mixture the reference with probability `plan.beta`, else the
+    learned policy, from one `generator.random()` per roll-out. Returns
+    (end state, roll-out policy)."""
     if plan.roll_out == "reference":
         policy = reference
     elif plan.roll_out == "learned":
         policy = learned
     else:
-        policy = _Mixture(plan, reference, learned, generator)
-        if plan.draw_granularity == "per_rollout":
-            policy = policy.draw()
+        policy = reference if generator.random() < plan.beta else learned
     nxt = task.transition(state, action)
     end = core.execute(task, policy, nxt, task.horizon - state.depth - 1)
     return end, policy

@@ -115,12 +115,14 @@ def test_console_entry_exit_codes(tmp_path):
 
 
 def test_bad_config_key_exits_one(runner, tmp_path):
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("nonsense = 1\n")
-    r = runner.invoke(cli.main, ["train", "--config", str(cfgfile),
-                                 "--out", str(tmp_path / "m")])
-    assert r.exit_code == 1
-    assert "nonsense" in r.output
+    # draw_granularity: a key the schema no longer has
+    for key, value in [("nonsense", "1"), ("draw_granularity", "per_rollout")]:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        r = runner.invoke(cli.main, ["train", "--config", str(cfgfile),
+                                     "--out", str(tmp_path / "m")])
+        assert r.exit_code == 1
+        assert key in r.output
 
 
 def test_malformed_data_exits_two(runner, tmp_path):
@@ -224,6 +226,23 @@ def test_bandit_rejects_gold_reading_reference(runner, tmp_path, source):
     assert r.exit_code == 0, r.output
 
 
+@pytest.mark.parametrize("row,cost", [
+    ("0:1,-0.5,0.0,0.7", "-0.5"),  # drawn in the first rounds
+    ("0:1,0.0,0.2,2.5", "2.5"),    # a leaf that 50 rounds never reach
+])
+def test_bandit_rejects_cost_outside_unit_range(runner, tmp_path, row, cost):
+    data = tmp_path / "mc.csv"
+    data.write_text(f"1:1,0.0,1.0,0.5\n{row}\n")
+    log = tmp_path / "log.jsonl"
+    r = runner.invoke(cli.main, ["bandit", "--task", "multiclass",
+                                 "--data", str(data), "--rounds", "50",
+                                 "--log-out", str(log)])
+    assert r.exit_code == 2, r.output
+    assert r.output == (f"data error: {data}: instance 2 has cost {cost} "
+                        "outside the bandit's loss range [0, 1]\n")
+    assert not log.exists()  # rejected before round 1
+
+
 def test_check_suites_pass(runner):
     r = runner.invoke(cli.main, ["check", "identity", "--models", "10"])
     assert r.exit_code == 0, r.output
@@ -291,6 +310,8 @@ def test_damaged_model_file_exits_one(runner, tmp_path, damage):
     ("multiclass", "1:1.0,0.5\n"),        # one cost column
     ("parse", "a\t\t5\nb\t\t0\n"),        # head outside 0..2
     ("parse", "a\t\t1\nb\t\t0\n"),        # token 1 is its own head
+    ("parse", "a\t\t2\nb\t\t1\n"),        # a cycle, no root
+    ("parse", "a\t\t0\nb\t\t0\n"),        # two roots
     ("sequence", "a\t-1\t\nb\t0\t\n"),    # negative tag
     ("sequence", "a\t1000000000\t\n\nb\t0\t\n"),  # tag beyond the bound
     ("multiclass", "1:nan,0.5,0.2\n"),    # non-finite feature value
@@ -333,6 +354,17 @@ def test_held_out_file_scored_with_model_tag_count(runner, tmp_path,
         r = runner.invoke(cli.main, args)
         assert r.exit_code == code, r.output
         assert ("dimension" in r.output) == (code == 1)
+
+
+def test_grid_rejects_held_out_label_count(runner, tmp_path):
+    train = gen(runner, tmp_path, "multiclass", 20, "train.csv")  # 8 labels
+    test = tmp_path / "test.csv"
+    test.write_text("1:1,0.0,1.0,1.0\n2:1,1.0,0.0,1.0\n")
+    r = runner.invoke(cli.main, ["grid", "--task", "multiclass",
+                                 "--data", str(train), "--test-data",
+                                 str(test), "--passes", "1"])
+    assert r.exit_code == 1, r.output
+    assert r.output == "error: test data has 3 labels, training data 8\n"
 
 
 @pytest.mark.parametrize("write", [

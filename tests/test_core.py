@@ -113,8 +113,7 @@ def memo_tasks(kind, seed):
 def visited_states(kind, seed):
     """(task, weights, states): every state that roll-in and roll-outs
     reach while training on each task, with the weights trained on it."""
-    plan = RolloutPlan(roll_in="learned", roll_out="mixture",
-                       draw_granularity="per_state", seed=seed)
+    plan = RolloutPlan(roll_in="learned", roll_out="mixture", seed=seed)
     trainer = None
     out = []
     for task in memo_tasks(kind, seed):

@@ -36,14 +36,14 @@ def sha256(path):
 TRAIN_CASES = {
     # kind: (instances, data seed, extra options, diagnostics sha256, model sha256)
     "sequence": (12, 5, ["--reference-quality", "suboptimal", "--beta", "0.5"],
-                 "d0225c624cfa35278b0e223cf0ca1c72dbac4fc76432b5687f4040f6d0b95a0b",
+                 "0fb6a8f5a4b89c8a3c8d1075bb897dcd4d1214d6e55a9ae8a4d78c3119ab8f09",
                  "f8bff88322de73dfed5fdaefa6619dd4680fffd5bc67dc97050fdd6fd09f6330"),
     "parse": (12, 6, ["--reference-quality", "bad", "--roll-out", "mixture"],
-              "5c60b4913e9964c64940e6003315f84987ab0f08d383c2a53c6817bea78220a7",
+              "eb397aaa6b872d75fed1ebf276b20ed8656b008d56de8742ea2eabaac612c889",
               "f1ef250201fa1c563c5601863f072f48916d17eb0dce458d266aeacf5d5009c9"),
     "multiclass": (40, 7, ["--reference-quality", "suboptimal",
                            "--roll-in", "reference"],
-                   "e553744efa422e9d37a54a61425640d21f2e34a56a55b69a97ea81aed9af9abf",
+                   "36a0327d99bdd3c30d29849dedacd7de6f25a7eacd6479eba738b7ebe12938cc",
                    "a0c3928ed8490509bed41e6eb34c3c730f0ca99c6f33ca3f2c3aaa3e06dde9f9"),
 }
 

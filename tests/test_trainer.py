@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2s import rng, theory
+from l2s import core, rng, theory
 from l2s.errors import BadConfig, NoPolicies, NonFiniteCost
 from l2s.tasks import ParseTask, SequenceTask, gen_sequences, gen_trees
 from l2s.theory.exact import ExactModelTask
@@ -12,7 +12,7 @@ from l2s.trainer import (
     AveragedPolicy,
     RolloutPlan,
     Trainer,
-    draw_rollout_policy,
+    complete_deviation,
     extract_costs,
 )
 
@@ -24,8 +24,6 @@ def test_plan_validation():
         RolloutPlan(roll_out="nope")
     with pytest.raises(BadConfig):
         RolloutPlan(beta=1.5)
-    with pytest.raises(BadConfig):
-        RolloutPlan(draw_granularity="sometimes")
 
 
 def test_extract_costs():
@@ -67,20 +65,53 @@ def test_extract_costs_rejects_non_finite(losses, bad, at):
     assert str(err.value) == f"losses {np.asarray(losses, dtype=np.float64)}"
 
 
+class CountingGenerator:
+    """A generator that counts its `random()` draws; any other use fails."""
+
+    def __init__(self, seed):
+        self.generator = np.random.default_rng(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.generator.random()
+
+
+def rollout_policies(roll_out, beta, count, generator):
+    """The policy `complete_deviation` picks for each of `count` roll-outs
+    from the last decision point of a two-level space, as 'reference' or
+    'learned'."""
+    task = ExactModelTask(theory.two_level_chooser())
+    reference = task.reference_policy()
+    learned = core.LinearPolicy(np.zeros(task.dimension))
+    start = task.start_state()
+    state = task.transition(start, reference.choose(task, start))
+    plan = RolloutPlan(roll_out=roll_out, beta=beta)
+    picks = []
+    for _ in range(count):
+        _, policy = complete_deviation(task, state, 0, plan, reference,
+                                       learned, generator)
+        picks.append("reference" if policy is reference else "learned")
+    return picks
+
+
 def test_mixture_draw_frequencies():
-    plan = RolloutPlan(roll_out="mixture", beta=0.5)
-    g = np.random.default_rng(0)
-    draws = [draw_rollout_policy(plan, g) for _ in range(100_000)]
+    g = CountingGenerator(0)
+    draws = rollout_policies("mixture", 0.5, 100_000, g)
     frac = draws.count("reference") / len(draws)
     assert abs(frac - 0.5) < 0.01  # 3 sigma ~ 0.0047
+    assert g.draws == len(draws)  # one random() per roll-out
 
 
 def test_mixture_degenerate_betas():
-    plan0 = RolloutPlan(roll_out="mixture", beta=0.0)
-    plan1 = RolloutPlan(roll_out="mixture", beta=1.0)
-    g = np.random.default_rng(0)
-    assert all(draw_rollout_policy(plan0, g) == "learned" for _ in range(100))
-    assert all(draw_rollout_policy(plan1, g) == "reference" for _ in range(100))
+    g = CountingGenerator(0)
+    assert rollout_policies("mixture", 0.0, 100, g) == ["learned"] * 100
+    assert rollout_policies("mixture", 1.0, 100, g) == ["reference"] * 100
+    assert g.draws == 200  # drawn even when beta decides alone
+    # the pure roll-outs draw nothing
+    assert rollout_policies("reference", 0.5, 10, g) == ["reference"] * 10
+    assert rollout_policies("learned", 0.5, 10, g) == ["learned"] * 10
+    assert g.draws == 200
 
 
 def run_rounds(model, plan, rounds):
@@ -202,19 +233,6 @@ def test_averaged_policy_monte_carlo_mean():
     assert abs(total / 10_000 - 50.0) <= 1.5
 
 
-def test_per_state_mixture_draws_along_rollout():
-    # per-state draws consume one Bernoulli per visited state, so with the
-    # same seed the per-rollout and per-state runs diverge on this space
-    model = theory.two_level_chooser()
-    plan_a = RolloutPlan(roll_in="learned", roll_out="mixture", beta=0.5,
-                         draw_granularity="per_rollout", seed=11)
-    plan_b = RolloutPlan(roll_in="learned", roll_out="mixture", beta=0.5,
-                         draw_granularity="per_state", seed=11)
-    ta, _, _, _ = run_rounds(model, plan_a, 15)
-    tb, _, _, _ = run_rounds(model, plan_b, 15)
-    assert not np.array_equal(ta.learner.weights, tb.learner.weights)
-
-
 @pytest.mark.parametrize("roll_in", ["learned", "reference"])
 @pytest.mark.parametrize("kind", ["sequence", "parse"])
 def test_one_feature_build_per_key_per_instance(kind, roll_in):
@@ -223,8 +241,7 @@ def test_one_feature_build_per_key_per_instance(kind, roll_in):
                  gen_sequences(4, 0, tag_count=4, min_len=3, max_len=6)]
     else:
         tasks = [ParseTask(toks, heads) for toks, heads in gen_trees(4, 0)]
-    plan = RolloutPlan(roll_in=roll_in, roll_out="mixture",
-                       draw_granularity="per_state", seed=0)
+    plan = RolloutPlan(roll_in=roll_in, roll_out="mixture", seed=0)
     trainer = Trainer(tasks[0].dimension, plan, record_history=False)
     for task in tasks:
         build, keys = task.action_features, []
