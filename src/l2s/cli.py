@@ -8,7 +8,6 @@ exact-check suite.
 import json
 import sys
 import zipfile
-from dataclasses import fields
 
 import click
 import numpy as np
@@ -16,7 +15,8 @@ import numpy as np
 from . import bandit as banditmod
 from . import core, experiment, rng, theory
 from .cslearn import CostSensitiveLearner
-from .errors import BadConfig, DataFormatError, L2SError, ModelTaskMismatch
+from .errors import (BadConfig, CheckFailed, DataFormatError, L2SError,
+                     ModelTaskMismatch)
 from .trainer import AveragedPolicy, RolloutPlan
 from .tasks import (
     gen_multiclass,
@@ -27,19 +27,35 @@ from .tasks import (
 )
 
 
-def _settings(config_path, overrides):
-    """The key=value settings given in the config file or by flag; a flag
-    overrides the file."""
+# The ExperimentConfig fields each command reads. A command offers a flag
+# for these only; any other field, by flag or in its config file, is a
+# usage or config error, not a setting silently ignored.
+READS = {
+    "train": ("task", "data", "reference_quality", "roll_in", "roll_out",
+              "beta", "passes", "seed", "eta0"),
+    # seed keys the --history averaging stream
+    "eval": ("task", "data", "seed"),
+    # the grid sweeps every roll-in x roll-out cell itself
+    "grid": ("task", "data", "test_data", "reference_quality", "beta",
+             "passes", "seed", "eta0"),
+    # roll-outs always use the 'bad' reference, which reads no gold labels
+    "bandit": ("task", "data", "beta", "seed", "eta0"),
+}
+
+
+def _config_and_data(command, config_path, overrides):
+    """The resolved config from the config file and the flags (a flag
+    overrides the file), and the dataset its `data` path names. A file key
+    that `command` does not read is a BadConfig."""
     mapping = experiment.read_config(config_path) if config_path else {}
+    for key in mapping:
+        if key not in READS[command]:
+            raise BadConfig(f"{command} does not read config key {key!r}; "
+                            f"it reads {', '.join(READS[command])}")
     for key, value in overrides.items():
         if value is not None:
             mapping[key] = value
-    return mapping
-
-
-def _config_and_data(settings):
-    """The resolved config and the dataset its `data` path names."""
-    cfg = experiment.build_config(settings)
+    cfg = experiment.build_config(mapping)
     if not cfg.data:
         raise BadConfig("data path is required")
     return cfg, experiment.load_dataset(cfg.task, cfg.data)
@@ -67,13 +83,17 @@ class _ErrorBoundary(click.Group):
             sys.exit(1)
 
 
-def config_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
-                      default=None, help="key=value config file")(fn)
-    for f in reversed(fields(experiment.ExperimentConfig)):
-        flag = "--" + f.name.replace("_", "-")
-        fn = click.option(flag, f.name, default=None)(fn)
-    return fn
+def config_options(command):
+    """`--config` and one flag per ExperimentConfig field `command` reads."""
+    def add(fn):
+        fn = click.option("--config", "config_path",
+                          type=click.Path(exists=True), default=None,
+                          help="key=value config file")(fn)
+        for name in reversed(READS[command]):
+            flag = "--" + name.replace("_", "-")
+            fn = click.option(flag, name, default=None)(fn)
+        return fn
+    return add
 
 
 @click.group(cls=_ErrorBoundary)
@@ -82,7 +102,7 @@ def main():
 
 
 @main.command()
-@config_options
+@config_options("train")
 @click.option("--out", required=True, type=click.Path(),
               help="model file to write")
 @click.option("--history-out", type=click.Path(), default=None,
@@ -91,7 +111,7 @@ def main():
               help="optional JSON-lines per-instance diagnostics")
 def train(config_path, out, history_out, diagnostics_out, **overrides):
     """Train a model on a dataset and save it."""
-    cfg, dataset = _config_and_data(_settings(config_path, overrides))
+    cfg, dataset = _config_and_data("train", config_path, overrides)
     chash = experiment.config_hash(cfg)
     diag_fh = open(diagnostics_out, "w") if diagnostics_out else None
 
@@ -128,7 +148,7 @@ def _trained_snapshots(path):
 
 
 @main.command("eval")
-@config_options
+@config_options("eval")
 @click.option("--model", "model_path", type=click.Path(exists=True),
               default=None)
 @click.option("--history", "history_path", type=click.Path(exists=True),
@@ -138,7 +158,7 @@ def eval_cmd(config_path, model_path, history_path, **overrides):
     """Evaluate a saved model on a dataset; prints the task metric."""
     if not model_path and not history_path:
         raise BadConfig("either --model or --history is required")
-    cfg, dataset = _config_and_data(_settings(config_path, overrides))
+    cfg, dataset = _config_and_data("eval", config_path, overrides)
     if history_path:
         policy = AveragedPolicy(_trained_snapshots(history_path),
                                 rng.substream(cfg.seed, rng.AVERAGING))
@@ -150,12 +170,12 @@ def eval_cmd(config_path, model_path, history_path, **overrides):
 
 
 @main.command()
-@config_options
+@config_options("grid")
 @click.option("--out", type=click.Path(), default=None,
               help="machine-readable JSON grid report")
 def grid(config_path, out, **overrides):
     """Run all six roll-in x roll-out combinations and tabulate them."""
-    cfg, dataset = _config_and_data(_settings(config_path, overrides))
+    cfg, dataset = _config_and_data("grid", config_path, overrides)
     if cfg.test_data:
         train_set = dataset
         test_set = experiment.load_dataset(cfg.task, cfg.test_data)
@@ -184,7 +204,7 @@ def grid(config_path, out, **overrides):
 
 
 @main.command("bandit")
-@config_options
+@config_options("bandit")
 @click.option("--rounds", default=1000, type=int)
 @click.option("--epsilon", default=0.1, type=float)
 @click.option("--log-out", type=click.Path(), default=None,
@@ -193,17 +213,12 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     """Simulate bandit rounds; gold labels feed only the loss oracle.
 
     The policies and the reference never see the labels: roll-outs use
-    the 'bad' reference quality, the one that reads no gold, and any
-    other given reference_quality is a config error. Round r's reference
-    draws from its own stream, seeded by (seed, REFERENCE, r).
+    the 'bad' reference quality, the one that reads no gold, so the
+    bandit reads no reference_quality setting (see READS). Round r's
+    reference draws from its own stream, seeded by (seed, REFERENCE, r).
     """
     _at_least(1, rounds=rounds)
-    settings = _settings(config_path, overrides)
-    quality = settings.get("reference_quality", "bad")
-    if quality != "bad":
-        raise BadConfig(f"bandit roll-outs use the 'bad' reference, which "
-                        f"reads no gold labels, not {quality!r}")
-    cfg, dataset = _config_and_data(settings)
+    cfg, dataset = _config_and_data("bandit", config_path, overrides)
     if dataset.kind == "multiclass":
         # a multiclass cost is the bandit's loss as it stands; sequence
         # and parse losses lie in [0, 1] by construction
@@ -326,9 +341,12 @@ def counterexamples(eps, rounds):
 def snake(horizon):
     """Exponential local-search lower bound via hypercube induced paths."""
     _at_least(1, horizon=horizon)
-    bits, updates = theory.snake_lower_bound(horizon)
-    _report(f"snake-T{horizon}", True,
-            f"{updates} updates along {'->'.join(bits)}")
+    name = f"snake-T{horizon}"
+    try:
+        bits, updates = theory.snake_lower_bound(horizon)
+    except CheckFailed as exc:
+        _report(name, False, str(exc))
+    _report(name, True, f"{updates} updates along {'->'.join(bits)}")
 
 
 @check.command()

@@ -49,6 +49,10 @@ class TraceIncomplete(L2SError):
     """A training trace is missing per-round policies needed for a check."""
 
 
+class CheckFailed(L2SError):
+    """An exact check found the property it verifies false."""
+
+
 class TooLarge(L2SError):
     """An enumeration guard tripped (search space too big)."""
 

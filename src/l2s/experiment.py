@@ -198,7 +198,7 @@ def _for_model(dataset, weights):
     beyond the model's keeps its own count, and so its mismatch."""
     if dataset.kind != "sequence" or weights is None:
         return dataset
-    tags, rest = divmod(len(weights), 1 << sequence.DEFAULT_BASE_BITS)
+    tags, rest = divmod(len(weights), 1 << sequence.BASE_BITS)
     if rest or tags < dataset.meta["tag_count"]:
         return dataset
     return replace(dataset, meta={"tag_count": tags})

@@ -11,9 +11,10 @@ import math
 import numpy as np
 
 from ..core import SearchTask, SeededReference, StateRef, argmin
+from ..errors import NotTerminal
 from ..sparse import ActionFeatures, from_pairs, hash_index
 
-DEFAULT_BASE_BITS = 14
+BASE_BITS = 14
 
 
 def split(lo, hi):
@@ -43,14 +44,13 @@ def leaf_path(k, label):
 class LabelTreeTask(SearchTask):
     """One cost-sensitive example as a root-to-leaf search problem."""
 
-    def __init__(self, features, costs, label_count,
-                 base_bits=DEFAULT_BASE_BITS):
+    def __init__(self, features, costs, label_count):
         if label_count < 2:
             raise ValueError("need at least 2 labels")
         self.example_features = list(features)  # (index, value) pairs
         self.costs = np.asarray(costs, dtype=np.float64)
         self.k = label_count
-        self.base = 1 << base_bits
+        self.base = 1 << BASE_BITS
         self.horizon = math.ceil(math.log2(label_count))
         self.dimension = 2 * self.base
 
@@ -85,7 +85,8 @@ class LabelTreeTask(SearchTask):
 
     def terminal_loss(self, state):
         lo, hi = state.payload
-        assert lo == hi, "terminal state must be a leaf"
+        if lo != hi:
+            raise NotTerminal(f"node {lo}..{hi} is not a leaf")
         return float(self.costs[lo])
 
     def decode(self, state):

@@ -17,8 +17,7 @@ from ..errors import MissingGold
 from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
 SHIFT, REDUCE_LEFT, REDUCE_RIGHT = 0, 1, 2
-ACTION_NAMES = ("shift", "reduce_left", "reduce_right")
-DEFAULT_BASE_BITS = 15
+BASE_BITS = 15
 
 
 class ParseTask(SearchTask):
@@ -28,13 +27,13 @@ class ParseTask(SearchTask):
     heads[i] is the assigned head of token i+1 (0 root, -1 unassigned).
     """
 
-    def __init__(self, tokens, gold_heads=None, base_bits=DEFAULT_BASE_BITS):
+    def __init__(self, tokens, gold_heads=None):
         self.tokens = list(tokens)
         self.n = len(self.tokens)
         if self.n < 1:
             raise ValueError("empty sentence")
         self.gold_heads = list(gold_heads) if gold_heads is not None else None
-        self.base = 1 << base_bits
+        self.base = 1 << BASE_BITS
         self.horizon = 2 * self.n - 1
         self.dimension = 3 * self.base
 

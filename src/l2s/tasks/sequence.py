@@ -4,7 +4,7 @@ from ..core import SearchTask, SeededReference, StateRef
 from ..errors import MissingGold
 from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
-DEFAULT_BASE_BITS = 15
+BASE_BITS = 15
 
 
 class SequenceTask(SearchTask):
@@ -15,12 +15,11 @@ class SequenceTask(SearchTask):
     divided by length for bandit use).
     """
 
-    def __init__(self, tokens, gold_tags, tag_count,
-                 base_bits=DEFAULT_BASE_BITS, normalize_loss=False):
+    def __init__(self, tokens, gold_tags, tag_count, normalize_loss=False):
         self.tokens = list(tokens)
         self.gold_tags = list(gold_tags) if gold_tags is not None else None
         self.tag_count = tag_count
-        self.base = 1 << base_bits
+        self.base = 1 << BASE_BITS
         self.horizon = len(self.tokens)
         self.dimension = tag_count * self.base
         self.normalize_loss = normalize_loss

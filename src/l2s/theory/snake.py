@@ -7,7 +7,7 @@ hypercube (and is maximal elsewhere) forces best-neighbor descent to walk
 the whole path, so local optimality can take Theta(2^T) updates.
 """
 
-from ..errors import TooLarge
+from ..errors import CheckFailed, TooLarge
 
 MAX_DIMENSION = 7
 OFF_PATH_COST = 2.0
@@ -128,11 +128,15 @@ def snake_lower_bound(dim):
     """Build the adversarial costs and run the descent.
 
     Returns (traversal as bit strings, update count); the update count
-    equals the snake's edge count.
+    equals the snake's edge count. A descent that does not walk the whole
+    snake is a CheckFailed.
     """
     snake = longest_snake(dim)
     costs = snake_costs(snake, dim)
     traversal = best_neighbor_descent(costs, snake[0], dim)
-    assert traversal == snake, "descent left the snake (cost construction bug)"
     bits = [format(v, f"0{dim}b") for v in traversal]
+    if traversal != snake:
+        raise CheckFailed(f"descent took {len(traversal) - 1} updates along "
+                          f"{'->'.join(bits)}, not the snake's "
+                          f"{len(snake) - 1}")
     return bits, len(traversal) - 1

@@ -7,13 +7,19 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from l2s import cli
+from l2s import bandit as banditmod
+from l2s import cli, theory
+from l2s.errors import BadConfig
+from l2s.experiment import ExperimentConfig, build_config
+from l2s.theory import snake
 
 
 @pytest.fixture()
@@ -123,6 +129,9 @@ def test_bad_config_key_exits_one(runner, tmp_path):
                                      "--out", str(tmp_path / "m")])
         assert r.exit_code == 1
         assert key in r.output
+        # library callers build the config without the CLI's read sets
+        with pytest.raises(BadConfig, match=f"unknown config key '{key}'"):
+            build_config({key: value})
 
 
 def test_malformed_data_exits_two(runner, tmp_path):
@@ -210,19 +219,96 @@ def test_bandit_reference_draws_vary_across_rounds(runner, tmp_path):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_bandit_rejects_gold_reading_reference(runner, tmp_path, source):
+    # roll-outs always use the 'bad' reference, which reads no gold
+    # labels, so the bandit reads no reference_quality: not even 'bad'
     data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
     args = ["bandit", "--task", "multiclass", "--data", str(data),
             "--rounds", "5"]
-    if source == "flag":
-        args += ["--reference-quality", "optimal"]
-    else:
-        cfgfile = tmp_path / "bandit.cfg"
-        cfgfile.write_text("reference_quality = suboptimal\n")
-        args += ["--config", str(cfgfile)]
+    for quality in ("optimal", "suboptimal", "bad"):
+        if source == "flag":
+            r = runner.invoke(cli.main, args + ["--reference-quality", quality])
+            assert_clean_exit(r, 2)  # click's usage error; cli.entry ends it in 1
+            assert "No such option '--reference-quality'" in r.output
+        else:
+            cfgfile = tmp_path / "bandit.cfg"
+            cfgfile.write_text(f"reference_quality = {quality}\n")
+            r = runner.invoke(cli.main, args + ["--config", str(cfgfile)])
+            assert_clean_exit(r, 1)
+            assert r.output.startswith(
+                "error: bandit does not read config key 'reference_quality'")
     r = runner.invoke(cli.main, args)
+    assert r.exit_code == 0, r.output
+
+
+# the ExperimentConfig fields each command reads
+READS = {
+    "train": {"task", "data", "reference_quality", "roll_in", "roll_out",
+              "beta", "passes", "seed", "eta0"},
+    "eval": {"task", "data", "seed"},
+    "grid": {"task", "data", "test_data", "reference_quality", "beta",
+             "passes", "seed", "eta0"},
+    "bandit": {"task", "data", "beta", "seed", "eta0"},
+}
+UNREAD = [(command, f.name) for command in READS
+          for f in fields(ExperimentConfig) if f.name not in READS[command]]
+
+
+def test_each_command_offers_a_flag_for_each_field_it_reads():
+    assert len(UNREAD) == 15
+    for command, wanted in READS.items():
+        options = {p.name for p in cli.main.commands[command].params}
+        assert options & {f.name for f in fields(ExperimentConfig)} == wanted
+
+
+@pytest.mark.parametrize("command,name", UNREAD)
+def test_unread_setting_exits_one(tmp_path, command, name):
+    # by flag, through the console entry point
+    flag = "--" + name.replace("_", "-")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    r = subprocess.run([sys.executable, "-m", "l2s.cli", command, flag, "1"],
+                       env={**os.environ, "PYTHONPATH": src},
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 1, (r.stdout, r.stderr)
+    assert f"No such option '{flag}'" in r.stderr
+    assert "Traceback" not in r.stderr
+    # in a config file; the config is refused before --out is written or
+    # --model is read, so any existing path serves
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{name} = 1\n")
+    required = {"train": ["--out", str(tmp_path / "m.model")],
+                "eval": ["--model", str(cfgfile)]}.get(command, [])
+    r = CliRunner().invoke(cli.main, [command, "--config", str(cfgfile),
+                                      *required])
     assert_clean_exit(r, 1)
-    assert "error: bandit roll-outs use the 'bad' reference" in r.output
-    r = runner.invoke(cli.main, args + ["--reference-quality", "bad"])
+    assert r.output.startswith(
+        f"error: {command} does not read config key {name!r}")
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_every_read_setting_is_accepted(runner, tmp_path, command, source):
+    data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
+    model = tmp_path / "m.model"
+    extra = {"train": ["--out", str(model)], "eval": ["--model", str(model)],
+             "grid": [], "bandit": ["--rounds", "5"]}[command]
+    if command == "eval":
+        r = runner.invoke(cli.main, train_args(data, "multiclass", model)
+                          + ["--passes", "1"])
+        assert r.exit_code == 0, r.output
+    # a valid value other than the default for every field
+    values = {"task": "multiclass", "data": str(data), "test_data": str(data),
+              "reference_quality": "suboptimal", "roll_in": "reference",
+              "roll_out": "learned", "beta": "0.3", "passes": "1",
+              "seed": "2", "eta0": "0.4"}
+    settings = {k: v for k, v in values.items() if k in READS[command]}
+    if source == "flag":
+        args = [a for k, v in settings.items()
+                for a in ("--" + k.replace("_", "-"), v)]
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        args = ["--config", str(cfgfile)]
+    r = runner.invoke(cli.main, [command, *args, *extra])
     assert r.exit_code == 0, r.output
 
 
@@ -258,6 +344,42 @@ def test_failed_check_exits_three():
     with pytest.raises(SystemExit) as e:
         cli._report("demo", False, "forced failure")
     assert e.value.code == 3
+
+
+# per check suite: its arguments, and a theory call patched so that the
+# suite's verdict is false
+FALSE_VERDICTS = {
+    "identity": (["identity", "--models", "2"], theory,
+                 "check_difference_identity", lambda *args: (1.0, 0.0, 0.0)),
+    "bound": (["bound", "--models", "1", "--rounds", "2"], theory,
+              "check_regret_bound",
+              lambda *args: SimpleNamespace(satisfied=False)),
+    "rollin": (["counterexamples", "--rounds", "10"], theory,
+               "reference_rollin_failure",
+               lambda *args: SimpleNamespace(unvisited_signatures=set(),
+                                             worst_zero_regret_J=0.0,
+                                             J_ref=0.0)),
+    "rollout": (["counterexamples", "--rounds", "10"], theory,
+                "reference_rollout_failure",
+                lambda *args, **kw: SimpleNamespace(
+                    deviation_gap=0.0, J_learned=1.0, best_deviation_J=1.0,
+                    mixture_J=1.0)),
+    # a descent that stops at its start
+    "snake": (["snake", "-T", "4"], snake, "best_neighbor_descent",
+              lambda costs, start, dim: [start]),
+    "unbiasedness": (["unbiasedness", "--trials", "10"], banditmod,
+                     "unbiasedness_probe",
+                     lambda *args, **kw: (1.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("suite", list(FALSE_VERDICTS))
+def test_every_check_suite_can_fail(runner, monkeypatch, suite):
+    args, owner, name, fake = FALSE_VERDICTS[suite]
+    monkeypatch.setattr(owner, name, fake)
+    r = runner.invoke(cli.main, ["check", *args])
+    assert_clean_exit(r, 3)
+    assert r.output.splitlines()[-1].startswith("[FAIL]")
 
 
 def train_args(data, kind, out):

@@ -19,17 +19,17 @@ QUALITIES = ("optimal", "suboptimal", "bad")
 
 
 def sequence_tasks(seed):
-    return [SequenceTask(toks, tags, 5, base_bits=8)
+    return [SequenceTask(toks, tags, 5)
             for toks, tags in gen_sequences(4, seed)]
 
 
 def parse_tasks(seed):
-    return [ParseTask(toks, heads, base_bits=8)
+    return [ParseTask(toks, heads)
             for toks, heads in gen_trees(4, seed)]
 
 
 def tree_tasks(seed):
-    return [LabelTreeTask(feats, costs, len(costs), base_bits=8)
+    return [LabelTreeTask(feats, costs, len(costs))
             for feats, costs in gen_multiclass(4, seed)]
 
 

@@ -56,15 +56,13 @@ def task_features():
     """ActionFeatures from every task, exact-model slots with equal labels
     (repeated block ids) included."""
     out = []
-    seq = SequenceTask(["aa", "bb", "cc"], [0, 1, 2], tag_count=3,
-                       base_bits=4)
+    seq = SequenceTask(["aa", "bb", "cc"], [0, 1, 2], tag_count=3)
     s = seq.start_state()
     out.append(seq.action_features(seq.transition(s, 2)))
-    parse = ParseTask(["a", "b", "c"], [2, 0, 2], base_bits=4)
+    parse = ParseTask(["a", "b", "c"], [2, 0, 2])
     s = parse.transition(parse.start_state(), 0)
     out.append(parse.action_features(s))
-    tree = LabelTreeTask([(3, 0.5), (7, -2.0)], [0.1, 0.9, 0.4, 0.2], 4,
-                         base_bits=3)
+    tree = LabelTreeTask([(3, 0.5), (7, -2.0)], [0.1, 0.9, 0.4, 0.2], 4)
     out.append(tree.action_features(tree.start_state()))
     for model in (theory.indistinct_branch_chooser(),
                   theory.shared_feature_chooser(0.1)):

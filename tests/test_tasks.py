@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from l2s import core
-from l2s.errors import DataFormatError, MissingGold
+from l2s.errors import DataFormatError, MissingGold, NotTerminal
 from l2s.tasks import (
     LabelTreeTask,
     ParseTask,
@@ -204,6 +204,12 @@ def test_tree_loss_bounds():
     task = LabelTreeTask([(0, 1.0)], costs, 4)
     for e in all_end_states(task, task.start_state()):
         assert min(costs) <= task.terminal_loss(e) <= max(costs)
+
+
+def test_tree_loss_of_an_inner_node_is_not_terminal():
+    task = LabelTreeTask([(0, 1.0)], [0.2, 0.9, 0.4, 0.6], 4)
+    with pytest.raises(NotTerminal):
+        task.terminal_loss(task.start_state())
 
 
 # -- parsing --
