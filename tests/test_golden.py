@@ -10,6 +10,7 @@ change meant to alter them records the new values and says why.
 
 import hashlib
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -114,3 +115,30 @@ def test_check_output(args):
     r = CliRunner().invoke(cli.main, ["check", *args])
     assert r.exit_code == 0, r.output
     assert r.output == CHECK_CASES[args]
+
+
+# `train --history-out` on 8 sequence instances (data seed 9), 2 passes:
+# the sha256 of the archive's `snapshots` array bytes with its shape and
+# dtype (not of the .npz file, whose zip entries carry timestamps), and
+# the stdout of `eval --history` on that archive
+HISTORY_CASE = ((17, 163840), "float64",
+                "1c17eb93829c6f86a19d9c1a96d44a5d3d12053a9ba7d58017273a1db7a205d3",
+                "accuracy 0.181818\n")
+
+
+def test_history_archive_and_averaged_eval(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_data("data.txt", "sequence", 8, 9)
+    r = CliRunner().invoke(cli.main, [
+        "train", "--task", "sequence", "--data", "data.txt", "--passes", "2",
+        "--seed", "4", "--out", "m.model", "--history-out", "history.npz"])
+    assert r.exit_code == 0, r.output
+    with np.load("history.npz") as archive:
+        snapshots = archive["snapshots"]
+    r = CliRunner().invoke(cli.main, [
+        "eval", "--task", "sequence", "--data", "data.txt", "--seed", "4",
+        "--history", "history.npz"])
+    assert r.exit_code == 0, r.output
+    assert (snapshots.shape, str(snapshots.dtype),
+            hashlib.sha256(snapshots.tobytes()).hexdigest(),
+            r.output) == HISTORY_CASE
