@@ -17,7 +17,7 @@ from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
 from .errors import BadConfig, LossOutOfRange
 from .theory import exact as ex
-from .trainer import AveragedPolicy, RolloutPlan, complete_deviation
+from .trainer import AveragedPolicy, PolicyPool, RolloutPlan, complete_deviation
 
 
 @dataclass
@@ -36,7 +36,8 @@ class BanditState:
             raise BadConfig(f"epsilon {epsilon} outside [0, 1]")
         self.epsilon = epsilon
         self.learner = CostSensitiveLearner(dimension, eta0)
-        self.explored_policies = [self.learner.weights.copy()]
+        # the initial policy, then one snapshot per explore round
+        self.explored_policies = PolicyPool(dimension)
         self.n_explore = 0
         self.explore_rng = rng.substream(seed, rng.EXPLORATION)
         self.mixture_rng = rng.substream(seed, rng.MIXTURE)
@@ -45,7 +46,9 @@ class BanditState:
                                  beta=beta, seed=seed)
 
     def latest_policy(self):
-        return core.LinearPolicy(self.explored_policies[-1])
+        """The latest explored policy, over a copy of its weights that
+        later rounds leave alone."""
+        return core.LinearPolicy(self.learner.weights.copy())
 
 
 def importance_weighted_costs(k, taken, loss):
@@ -102,13 +105,16 @@ def exploration_step(task, latest, reference, loss, explore_rng, mixture_rng,
 
 
 def _explore(state, task, loss_oracle, reference):
+    # the latest policy reads the live weights, not a copy: the update
+    # runs only after its roll-in and roll-out are done
     s_t, end, record = exploration_step(
-        task, state.latest_policy(), reference,
+        task, core.LinearPolicy(state.learner.weights), reference,
         partial(_checked_loss, loss_oracle), state.explore_rng,
         state.mixture_rng, state._plan)
-    example = CostSensitiveExample(task.action_features(s_t), record["costs"])
-    state.learner.update(example)
-    state.explored_policies.append(state.learner.weights.copy())
+    features = task.action_features(s_t)
+    state.learner.update(CostSensitiveExample(features, record["costs"]))
+    state.explored_policies.append(state.learner.weights,
+                                   features.weight_indices())
     state.n_explore += 1
     return state, BanditOutcome(mode="explored",
                                 prediction=task.decode(end),

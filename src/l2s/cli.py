@@ -127,8 +127,11 @@ def train(config_path, out, history_out, diagnostics_out, **overrides):
         diag_fh.close()
     trainer.learner.save(out)
     if history_out:
-        np.savez_compressed(history_out, config=chash,
-                            snapshots=np.stack(trainer.history))
+        # filled row by row: the archive's array is the one n x d copy
+        snapshots = np.empty((len(trainer.history), trainer.history.dimension))
+        for row, weights in zip(snapshots, trainer.history):
+            row[:] = weights
+        np.savez_compressed(history_out, config=chash, snapshots=snapshots)
     click.echo(f"config {chash}: trained on "
                f"{len(dataset.records)} instances x {cfg.passes} passes; "
                f"model -> {out}")

@@ -64,6 +64,13 @@ class ActionFeatures:
         base = self.shared.dimension
         return [dot(w, self.shared, b * base) for b in self.blocks]
 
+    def weight_indices(self):
+        """The weight index blocks[a] * base + i of every action a and
+        pair (i, v) of `shared`: what the actions read and an update on
+        this state writes. An index repeats where a block does."""
+        base = self.shared.dimension
+        return [b * base + i for b in self.blocks for i, _ in self.shared.pairs]
+
 
 def from_pairs(pairs, dimension):
     """Build SparseFeatures from unsorted (index, value) pairs, summing duplicates."""

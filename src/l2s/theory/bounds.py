@@ -147,7 +147,7 @@ def run_training(model, plan, rounds):
     cost-sensitive example.
     """
     task = ExactModelTask(model)
-    trainer = Trainer(task.dimension, plan, eta0=0.5)
+    trainer = Trainer(task.dimension, plan, eta0=0.5, record_history=False)
     ref = task.reference_policy()
     trace = []
     stream = []

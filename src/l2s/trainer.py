@@ -5,7 +5,8 @@ every decision point, try every one-step deviation, complete each with
 the roll-out policy, and turn the resulting end-state losses into one
 cost-sensitive example per decision point (costs are losses minus their
 minimum). The T examples are then fed to the online learner in decision
-order, and the updated policy snapshot is appended to the history.
+order, and the updated policy snapshot is appended to the history, a
+`PolicyPool` that keeps each snapshot as the weights its update wrote.
 """
 
 import math
@@ -15,10 +16,14 @@ import numpy as np
 
 from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
-from .errors import BadConfig, NonFiniteCost, NoPolicies
+from .errors import BadConfig, DimensionMismatch, NonFiniteCost, NoPolicies
 
 ROLL_IN_CHOICES = ("reference", "learned")
 ROLL_OUT_CHOICES = ("reference", "learned", "mixture")
+# every CHECKPOINT_EVERY-th pool snapshot records the values at every
+# index written so far, so a snapshot is rebuilt from its checkpoint and
+# at most CHECKPOINT_EVERY - 1 deltas
+CHECKPOINT_EVERY = 8
 
 
 @dataclass
@@ -77,15 +82,95 @@ def complete_deviation(task, state, action, plan, reference, learned,
     return end, policy
 
 
+class PolicyPool:
+    """The weight snapshots of one learner, kept as the weights each
+    update wrote.
+
+    Snapshot 0 is the zero vector a CostSensitiveLearner starts from.
+    `append(weights, written)` records the values of `weights` at the
+    indices `written`, which must hold every index changed since the
+    last snapshot; every CHECKPOINT_EVERY-th snapshot records the values
+    at every index written so far instead. Memory grows with the weights
+    written, plus the touched values every CHECKPOINT_EVERY snapshots,
+    not with the dimension.
+
+    Indexing, slicing and iteration return new float64 arrays, which
+    later appends leave alone. `rebuild(i)` writes snapshot i into one
+    buffer the pool reuses, so its result holds only until the next
+    `rebuild`.
+    """
+
+    def __init__(self, dimension):
+        self.dimension = dimension
+        # per snapshot (indices, values): a delta sets them over the
+        # snapshot before it, a checkpoint over the zero vector
+        self._entries = [(np.empty(0, dtype=np.intp), np.empty(0))]
+        self._buffer = None
+        self._dirty = self._entries[0][0]  # `_buffer` is 0.0 elsewhere
+
+    def __len__(self):
+        return len(self._entries)
+
+    def append(self, weights, written):
+        if len(weights) != self.dimension:
+            raise DimensionMismatch(
+                f"weights {len(weights)} != pool dimension {self.dimension}")
+        idx = np.unique(np.asarray(written, dtype=np.intp))
+        n = len(self._entries)
+        if n % CHECKPOINT_EVERY == 0:
+            idx = np.unique(np.concatenate(
+                [e[0] for e in self._entries[n - CHECKPOINT_EVERY:]] + [idx]))
+        if len(idx) and not 0 <= idx[0] <= idx[-1] < self.dimension:
+            raise DimensionMismatch(f"written indices outside [0, {self.dimension})")
+        self._entries.append((idx, weights[idx]))
+
+    def _span(self, i):
+        """Snapshot i's checkpoint index and entries: the checkpoint,
+        then the deltas after it."""
+        i = range(len(self._entries))[i]
+        start = i - i % CHECKPOINT_EVERY
+        return start, self._entries[start:i + 1]
+
+    def rebuild(self, i):
+        """Snapshot i in the pool's reused buffer."""
+        start, span = self._span(i)
+        if self._buffer is None:
+            self._buffer = np.zeros(self.dimension)
+        buf = self._buffer
+        buf[self._dirty] = 0.0
+        for idx, values in span:
+            buf[idx] = values
+        # the next checkpoint, where there is one, holds every index the
+        # span set: one reset write at the next rebuild, not one per entry
+        nxt = start + CHECKPOINT_EVERY
+        self._dirty = (self._entries[nxt][0] if nxt < len(self._entries)
+                       else np.concatenate([idx for idx, _ in span]))
+        return buf
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        w = np.zeros(self.dimension)
+        for idx, values in self._span(i)[1]:
+            w[idx] = values
+        return w
+
+    def __iter__(self):
+        w = np.zeros(self.dimension)
+        for idx, values in self._entries:
+            w[idx] = values
+            yield w.copy()
+
+
 class Trainer:
     """Mutable training state: learner, policy history and RNG streams."""
 
     def __init__(self, dimension, plan, eta0=0.5, record_history=True):
         self.plan = plan
         self.learner = CostSensitiveLearner(dimension, eta0)
-        self.record_history = record_history
-        # history[0] is the untrained initial policy
-        self.history = [self.learner.weights.copy()]
+        # history[0] is the untrained initial policy; without
+        # record_history there is no history
+        self.history = PolicyPool(dimension) if record_history else None
         self.examples_seen = 0
         self.mixture_rng = rng.substream(plan.seed, rng.MIXTURE)
 
@@ -126,8 +211,10 @@ class Trainer:
         for ex in examples:
             self.learner.update(ex)
         self.examples_seen += 1
-        if self.record_history:
-            self.history.append(self.learner.weights.copy())
+        if self.history is not None:
+            self.history.append(self.learner.weights, [
+                i for ex in examples
+                for i in ex.per_action_features.weight_indices()])
 
         diagnostics = {
             "instance": self.examples_seen,
@@ -144,7 +231,12 @@ class Trainer:
 
 
 class AveragedPolicy:
-    """Online-to-batch average: sample one historical policy per trajectory."""
+    """Online-to-batch average: sample one historical policy per trajectory.
+
+    `snapshots` is a PolicyPool or a sequence of weight arrays. From a
+    pool, a sampled policy reads the pool's reused buffer, so it holds
+    only until the pool's next `rebuild`.
+    """
 
     def __init__(self, snapshots, generator):
         if not snapshots:
@@ -154,4 +246,6 @@ class AveragedPolicy:
 
     def sample(self):
         i = int(self.generator.integers(len(self.snapshots)))
+        if isinstance(self.snapshots, PolicyPool):
+            return core.LinearPolicy(self.snapshots.rebuild(i))
         return core.LinearPolicy(self.snapshots[i])

@@ -259,6 +259,15 @@ def test_snake_known_small_path():
     assert bits == ["000", "001", "011", "111", "110"]
 
 
+def test_snake_dimension_six_is_the_known_longest():
+    # 26 edges: the longest snake in the 6-cube (OEIS A000937)
+    path = longest_snake(6)
+    assert len(path) - 1 == 26
+    assert is_induced_path(path, 6)
+    with pytest.raises(TooLarge):
+        longest_snake(7)
+
+
 def test_snake_dimension_limits():
     with pytest.raises(TooLarge):
         longest_snake(8)

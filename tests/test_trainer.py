@@ -1,15 +1,19 @@
 """Roll-in / one-step-deviation / roll-out training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2s import core, rng, theory
-from l2s.errors import BadConfig, NoPolicies, NonFiniteCost
+from l2s.errors import BadConfig, DimensionMismatch, NoPolicies, NonFiniteCost
 from l2s.tasks import ParseTask, SequenceTask, gen_sequences, gen_trees
 from l2s.theory.exact import ExactModelTask
 from l2s.trainer import (
+    CHECKPOINT_EVERY,
     AveragedPolicy,
+    PolicyPool,
     RolloutPlan,
     Trainer,
     complete_deviation,
@@ -203,6 +207,91 @@ def test_history_and_averaging_pool():
     assert len(trainer.history) == 2
     avg = AveragedPolicy(trainer.history[1:], g)
     assert len(avg.snapshots) == 1
+
+
+# one update's writes: (index, value) pairs into a pool of dimension
+# POOL_DIMENSION, indices repeating, zeros of both signs often
+POOL_DIMENSION = 24
+WRITES = st.lists(st.tuples(st.integers(0, POOL_DIMENSION - 1),
+                            st.one_of(st.sampled_from([0.0, -0.0]), FINITE)),
+                  max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(WRITES, max_size=3 * CHECKPOINT_EVERY + 2), st.randoms())
+def test_policy_pool_snapshots_equal_dense_copies(updates, random):
+    def same(got, want):
+        return got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    pool = PolicyPool(POOL_DIMENSION)
+    weights = np.zeros(POOL_DIMENSION)
+    dense = [weights.copy()]
+    kept = []  # (snapshot index, array read from the pool) held by a caller
+    for writes in updates:
+        for i, v in writes:
+            weights[i] = v
+        pool.append(weights, [i for i, _ in writes])
+        dense.append(weights.copy())
+        j = random.randrange(len(dense))
+        kept.append((j, pool[j]))
+        j = random.randrange(len(dense))
+        assert same(pool.rebuild(j), dense[j])
+
+    assert len(pool) == len(dense)
+    order = list(range(len(dense)))
+    random.shuffle(order)
+    for j in order:
+        assert same(pool[j], dense[j])
+        assert same(pool.rebuild(j), dense[j])
+    assert same(pool[-1], dense[-1])
+    iterated = list(pool)  # kept: later arrays must leave earlier ones alone
+    assert all(same(got, want) for got, want in zip(iterated, dense, strict=True))
+    lo, hi = sorted(random.randrange(len(dense) + 1) for _ in range(2))
+    step = random.choice([1, 2, 3, -1])
+    assert all(same(got, want) for got, want
+               in zip(pool[lo:hi:step], dense[lo:hi:step], strict=True))
+    assert all(same(a, dense[j]) for j, a in kept)
+
+
+def test_policy_pool_rejects_foreign_weights_and_indices():
+    pool = PolicyPool(4)
+    with pytest.raises(DimensionMismatch):
+        pool.append(np.zeros(5), [0])
+    with pytest.raises(DimensionMismatch):
+        pool.append(np.zeros(4), [4])
+    with pytest.raises(DimensionMismatch):
+        pool.append(np.zeros(4), [-1])
+    with pytest.raises(IndexError):
+        pool[1]
+    assert len(pool) == 1
+
+
+def test_explored_pool_memory_is_bounded_by_writes(tmp_path):
+    # 500 explore rounds on 8-label data: a dense copy per round would
+    # hold 500 x 256 KiB, about 125 MB
+    from l2s import bandit, experiment
+    from l2s.tasks import gen_multiclass, write_multiclass
+    path = tmp_path / "mc.csv"
+    write_multiclass(path, gen_multiclass(100, 0))
+    dataset = experiment.load_dataset("multiclass", str(path))
+    tasks = [experiment.make_task(dataset, i, normalize_loss=True)
+             for i in range(len(dataset.records))]
+    state = bandit.BanditState(experiment.task_dimension(dataset),
+                               epsilon=1.0, seed=0)
+    tracemalloc.start()
+    try:
+        for r in range(500):
+            task = tasks[r % len(tasks)]
+            state, out = bandit.bandit_step(
+                state, task, lambda end: core.end_loss(task, end),
+                task.reference_policy("bad", seed=r))
+            assert out.mode == "explored"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.explored_policies) == 501
+    assert state.learner.weights.nbytes == 256 * 1024
+    assert peak < 4 * 2**20
 
 
 def test_averaged_policy_monte_carlo_mean():
