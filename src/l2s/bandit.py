@@ -45,11 +45,6 @@ class BanditState:
         self._plan = RolloutPlan(roll_in="learned", roll_out="mixture",
                                  beta=beta, seed=seed)
 
-    def latest_policy(self):
-        """The latest explored policy, over a copy of its weights that
-        later rounds leave alone."""
-        return core.LinearPolicy(self.learner.weights.copy())
-
 
 def importance_weighted_costs(k, taken, loss):
     """K * loss on the explored action, zero elsewhere."""

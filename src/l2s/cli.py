@@ -7,7 +7,6 @@ exact-check suite.
 
 import json
 import sys
-import zipfile
 
 import click
 import numpy as np
@@ -17,7 +16,7 @@ from . import core, experiment, rng, theory
 from .cslearn import CostSensitiveLearner
 from .errors import (BadConfig, CheckFailed, DataFormatError, L2SError,
                      ModelTaskMismatch)
-from .trainer import AveragedPolicy, RolloutPlan
+from .trainer import AveragedPolicy, PolicyPool, RolloutPlan
 from .tasks import (
     gen_multiclass,
     gen_sequences,
@@ -127,27 +126,10 @@ def train(config_path, out, history_out, diagnostics_out, **overrides):
         diag_fh.close()
     trainer.learner.save(out)
     if history_out:
-        # filled row by row: the archive's array is the one n x d copy
-        snapshots = np.empty((len(trainer.history), trainer.history.dimension))
-        for row, weights in zip(snapshots, trainer.history):
-            row[:] = weights
-        np.savez_compressed(history_out, config=chash, snapshots=snapshots)
+        trainer.history.save(history_out, config=chash)
     click.echo(f"config {chash}: trained on "
                f"{len(dataset.records)} instances x {cfg.passes} passes; "
                f"model -> {out}")
-
-
-def _trained_snapshots(path):
-    """The trained policies of a `train --history-out` archive; anything
-    else is an L2SError."""
-    try:
-        with np.load(path) as archive:
-            snapshots = archive["snapshots"]
-    except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as exc:
-        raise L2SError(f"{path} is not a snapshot archive: {exc}")
-    if snapshots.ndim != 2:
-        raise L2SError(f"{path} holds snapshots of shape {snapshots.shape}")
-    return list(snapshots[1:])
 
 
 @main.command("eval")
@@ -159,12 +141,14 @@ def _trained_snapshots(path):
               help="evaluate the averaged policy from a snapshot archive")
 def eval_cmd(config_path, model_path, history_path, **overrides):
     """Evaluate a saved model on a dataset; prints the task metric."""
-    if not model_path and not history_path:
-        raise BadConfig("either --model or --history is required")
+    if bool(model_path) == bool(history_path):
+        raise BadConfig("eval takes one of --model and --history")
     cfg, dataset = _config_and_data("eval", config_path, overrides)
     if history_path:
-        policy = AveragedPolicy(_trained_snapshots(history_path),
-                                rng.substream(cfg.seed, rng.AVERAGING))
+        # the trained snapshots: all but the untrained snapshot 0
+        policy = AveragedPolicy(PolicyPool.load(history_path),
+                                rng.substream(cfg.seed, rng.AVERAGING),
+                                first=1)
     else:
         learner = CostSensitiveLearner.load(model_path)
         policy = learner.policy()

@@ -192,13 +192,14 @@ def task_dimension(dataset):
     return make_task(dataset, 0).dimension
 
 
-def _for_model(dataset, weights):
-    """`dataset` with the tag count of a sequence model's `weights`, so a
-    held-out file lacking the top tags is still scored; a file with a tag
-    beyond the model's keeps its own count, and so its mismatch."""
-    if dataset.kind != "sequence" or weights is None:
+def _for_model(dataset, dimension):
+    """`dataset` with the tag count of a sequence model of `dimension`
+    weights, so a held-out file lacking the top tags is still scored; a
+    file with a tag beyond the model's keeps its own count, and so its
+    mismatch."""
+    if dataset.kind != "sequence":
         return dataset
-    tags, rest = divmod(len(weights), 1 << sequence.BASE_BITS)
+    tags, rest = divmod(dimension, 1 << sequence.BASE_BITS)
     if rest or tags < dataset.meta["tag_count"]:
         return dataset
     return replace(dataset, meta={"tag_count": tags})
@@ -237,19 +238,20 @@ def train(dataset, plan, passes, quality="optimal", eta0=0.5, seed=None,
 
 
 def evaluate(dataset, policy):
-    """Task metric over a dataset. `policy` may be an averaged-policy
-    sampler (one historical snapshot drawn per instance, all of one
-    dimension) or a fixed policy; returns (metric_name, value).
+    """Task metric over a dataset; returns (metric_name, value).
+
+    `policy` is a LinearPolicy, or an AveragedPolicy, which draws one
+    snapshot of its pool per instance. The model dimension, the policy's
+    weight count or the pool's dimension, must be the task's.
     """
     name, _ = METRICS[dataset.kind]
     sampled = hasattr(policy, "sample")
-    weights = (policy.snapshots[0] if sampled
-               else getattr(policy, "weights", None))
-    dataset = _for_model(dataset, weights)
+    model_dimension = policy.pool.dimension if sampled else len(policy.weights)
+    dataset = _for_model(dataset, model_dimension)
     dimension = task_dimension(dataset)
-    if weights is not None and len(weights) != dimension:
+    if model_dimension != dimension:
         raise ModelTaskMismatch(
-            f"model dimension {len(weights)} != task {dimension}")
+            f"model dimension {model_dimension} != task {dimension}")
     total, weight = 0.0, 0
     for i in range(len(dataset.records)):
         pol = policy.sample() if sampled else policy

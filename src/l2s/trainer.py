@@ -10,13 +10,15 @@ order, and the updated policy snapshot is appended to the history, a
 """
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
-from .errors import BadConfig, DimensionMismatch, NonFiniteCost, NoPolicies
+from .errors import (BadConfig, DimensionMismatch, L2SError, NonFiniteCost,
+                     NoPolicies)
 
 ROLL_IN_CHOICES = ("reference", "learned")
 ROLL_OUT_CHOICES = ("reference", "learned", "mixture")
@@ -94,10 +96,10 @@ class PolicyPool:
     written, plus the touched values every CHECKPOINT_EVERY snapshots,
     not with the dimension.
 
-    Indexing, slicing and iteration return new float64 arrays, which
-    later appends leave alone. `rebuild(i)` writes snapshot i into one
-    buffer the pool reuses, so its result holds only until the next
-    `rebuild`.
+    Iteration yields new float64 arrays, which later appends leave
+    alone. `rebuild(i)` writes snapshot i into one buffer the pool
+    reuses, so its result holds only until the next `rebuild`. `save`
+    and `load` keep a pool in an .npz archive.
     """
 
     def __init__(self, dimension):
@@ -124,16 +126,12 @@ class PolicyPool:
             raise DimensionMismatch(f"written indices outside [0, {self.dimension})")
         self._entries.append((idx, weights[idx]))
 
-    def _span(self, i):
-        """Snapshot i's checkpoint index and entries: the checkpoint,
-        then the deltas after it."""
-        i = range(len(self._entries))[i]
-        start = i - i % CHECKPOINT_EVERY
-        return start, self._entries[start:i + 1]
-
     def rebuild(self, i):
         """Snapshot i in the pool's reused buffer."""
-        start, span = self._span(i)
+        i = range(len(self._entries))[i]
+        # snapshot i's checkpoint, then the deltas after it
+        start = i - i % CHECKPOINT_EVERY
+        span = self._entries[start:i + 1]
         if self._buffer is None:
             self._buffer = np.zeros(self.dimension)
         buf = self._buffer
@@ -147,19 +145,84 @@ class PolicyPool:
                        else np.concatenate([idx for idx, _ in span]))
         return buf
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        w = np.zeros(self.dimension)
-        for idx, values in self._span(i)[1]:
-            w[idx] = values
-        return w
-
     def __iter__(self):
         w = np.zeros(self.dimension)
         for idx, values in self._entries:
             w[idx] = values
             yield w.copy()
+
+    def save(self, path, **extra):
+        """Write the pool, and the arrays `extra`, to the .npz archive
+        `path`: its `dimension`, and per snapshot j its entry's `indices`
+        and `values` at `offsets[j]:offsets[j + 1]`."""
+        indices, values = zip(*self._entries)
+        np.savez_compressed(path, dimension=self.dimension,
+                            offsets=np.cumsum([0] + [len(i) for i in indices]),
+                            indices=np.concatenate(indices),
+                            values=np.concatenate(values), **extra)
+
+    @classmethod
+    def load(cls, path):
+        """The pool a `save` archive holds, or one from an archive whose
+        `snapshots` array holds a dense row per snapshot, entry j then
+        being row j at the indices where its float64 bytes differ from
+        row j - 1's. Each snapshot after the first is replayed through
+        `append` as the one before it with its entry's values set.
+        Anything else is an L2SError."""
+        try:
+            with np.load(path) as archive:
+                arrays = (_entries_of_rows(archive["snapshots"])
+                          if "snapshots" in archive else
+                          [archive[key] for key in
+                           ("dimension", "offsets", "indices", "values")])
+            dimension, offsets, indices, values = _checked(*arrays)
+        except (ValueError, KeyError, TypeError, EOFError,
+                zipfile.BadZipFile) as exc:
+            raise L2SError(f"{path} is not a snapshot archive: {exc}")
+        pool = cls(dimension)
+        weights = np.zeros(dimension)
+        for lo, hi in zip(offsets[1:-1], offsets[2:]):
+            weights[indices[lo:hi]] = values[lo:hi]
+            pool.append(weights, indices[lo:hi])
+        return pool
+
+
+def _entries_of_rows(rows):
+    """The flattened (dimension, offsets, indices, values) of dense
+    snapshot rows."""
+    if rows.ndim != 2 or rows.dtype.kind != "f":
+        raise ValueError(f"snapshots of shape {rows.shape} and dtype {rows.dtype}")
+    rows = rows.astype(np.float64, copy=False)
+    indices, before = [], np.zeros(rows.shape[1], dtype=np.int64)
+    for bits in rows.view(np.int64):
+        indices.append(np.flatnonzero(bits != before))
+        before = bits
+    return (np.array(rows.shape[1]),
+            np.cumsum([0] + [len(idx) for idx in indices]),
+            np.concatenate(indices),
+            np.concatenate([row[idx] for row, idx in zip(rows, indices)]))
+
+
+def _checked(dimension, offsets, indices, values):
+    """A pool archive's arrays, checked; a problem is a ValueError."""
+    if dimension.ndim or dimension.dtype.kind not in "iu" or dimension < 0:
+        raise ValueError(f"dimension {dimension} is not a count")
+    if (offsets.ndim != 1 or offsets.dtype.kind not in "iu" or len(offsets) < 2
+            or offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1])
+            or not offsets[-1] == len(indices) == len(values)):
+        raise ValueError("offsets do not rise from 0 to the end of "
+                         "indices and values")
+    if offsets[1] != 0:
+        raise ValueError("snapshot 0 is not the zero vector")
+    if (indices.ndim != 1 or indices.dtype.kind not in "iu"
+            or np.any(indices < 0) or np.any(indices >= dimension)):
+        raise ValueError(f"indices are not integers in [0, {dimension})")
+    if values.ndim != 1 or values.dtype.kind != "f":
+        raise ValueError(f"values of dtype {values.dtype} are not floats")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values are not all finite")
+    return (int(dimension), offsets, indices.astype(np.intp),
+            values.astype(np.float64))
 
 
 class Trainer:
@@ -168,7 +231,7 @@ class Trainer:
     def __init__(self, dimension, plan, eta0=0.5, record_history=True):
         self.plan = plan
         self.learner = CostSensitiveLearner(dimension, eta0)
-        # history[0] is the untrained initial policy; without
+        # the history's snapshot 0 is the untrained initial policy; without
         # record_history there is no history
         self.history = PolicyPool(dimension) if record_history else None
         self.examples_seen = 0
@@ -231,21 +294,22 @@ class Trainer:
 
 
 class AveragedPolicy:
-    """Online-to-batch average: sample one historical policy per trajectory.
+    """Online-to-batch average: sample one of a PolicyPool's snapshots
+    `first`, ..., len(pool) - 1 per trajectory.
 
-    `snapshots` is a PolicyPool or a sequence of weight arrays. From a
-    pool, a sampled policy reads the pool's reused buffer, so it holds
-    only until the pool's next `rebuild`.
+    A sampled policy reads the pool's reused buffer, so it holds only
+    until the pool's next `rebuild`.
     """
 
-    def __init__(self, snapshots, generator):
-        if not snapshots:
-            raise NoPolicies("empty snapshot pool")
-        self.snapshots = snapshots
+    def __init__(self, pool, generator, first=0):
+        if len(pool) <= first:
+            raise NoPolicies(f"no snapshot from {first} in a pool of "
+                             f"{len(pool)}")
+        self.pool = pool
         self.generator = generator
+        self.first = first
 
     def sample(self):
-        i = int(self.generator.integers(len(self.snapshots)))
-        if isinstance(self.snapshots, PolicyPool):
-            return core.LinearPolicy(self.snapshots.rebuild(i))
-        return core.LinearPolicy(self.snapshots[i])
+        i = self.first + int(self.generator.integers(len(self.pool)
+                                                     - self.first))
+        return core.LinearPolicy(self.pool.rebuild(i))

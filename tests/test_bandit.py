@@ -60,7 +60,7 @@ def test_explore_rounds_match_exploration_step():
     for r in range(20):
         task = tasks[r % len(tasks)]
         oracle = lambda end: core.end_loss(task, end)
-        latest = state.latest_policy()
+        latest = core.LinearPolicy(state.learner.weights.copy())
         state, out = bandit.bandit_step(
             state, task, oracle, task.reference_policy("bad", seed=seed))
         assert out.mode == "explored"

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from l2s import bandit as banditmod
 from l2s import cli, theory
 from l2s.errors import BadConfig
 from l2s.experiment import ExperimentConfig, build_config
+from l2s.trainer import PolicyPool
 from l2s.theory import snake
 
 
@@ -489,10 +491,43 @@ def test_grid_rejects_held_out_label_count(runner, tmp_path):
     assert r.output == "error: test data has 3 labels, training data 8\n"
 
 
+def pool_archive(dimension=2, offsets=(0, 0, 1), indices=(1,), values=(0.5,)):
+    """Writer of an archive with PolicyPool.save's keys; the defaults
+    hold a pool of two snapshots, (0, 0) and (0, 0.5)."""
+    return lambda path: np.savez(path, dimension=dimension, offsets=offsets,
+                                 indices=indices, values=values)
+
+
 @pytest.mark.parametrize("write", [
     lambda path: path.write_text("not an archive\n"),
     lambda path: np.savez(path, other=[1.0]),
-], ids=["text-file", "npz-without-snapshots"])
+    lambda path: np.savez(path, snapshots=[[0.0, 0.0], [np.nan, 1.0]]),
+    lambda path: np.savez(path, snapshots=[[0.0, 0.0], [np.inf, 1.0]]),
+    lambda path: np.savez(path, snapshots=[[0, 0], [1, 1]]),
+    lambda path: np.savez(path, snapshots=[[1.0, 0.0], [1.0, 1.0]]),
+    lambda path: np.savez(path, snapshots=[0.0, 0.0]),
+    pool_archive(values=(np.nan,)),
+    pool_archive(values=(-np.inf,)),
+    pool_archive(values=(1,)),
+    pool_archive(values=("x",)),
+    pool_archive(indices=(2,)),
+    pool_archive(indices=(-1,)),
+    pool_archive(indices=(0.5,)),
+    pool_archive(offsets=(1, 1, 1)),
+    pool_archive(offsets=(0, 1, 0)),
+    pool_archive(offsets=(0, 0, 2)),
+    pool_archive(offsets=(0,)),
+    pool_archive(offsets=(0.0, 0.0, 1.0)),
+    pool_archive(offsets=(0, 1, 1)),
+    pool_archive(dimension=-1),
+    pool_archive(dimension=(2, 2)),
+], ids=["text-file", "npz-without-snapshots", "nan-in-snapshots",
+        "inf-in-snapshots", "int-snapshots", "snapshot-0-not-zero",
+        "snapshots-1d", "nan-in-values", "inf-in-values", "int-values",
+        "text-values", "index-equal-to-dimension", "negative-index",
+        "float-index", "offsets-not-from-0", "offsets-decrease",
+        "offsets-beyond-arrays", "offsets-without-entry-0", "float-offsets",
+        "entry-0-not-empty", "negative-dimension", "dimension-not-scalar"])
 def test_eval_history_not_a_snapshot_archive_exits_one(runner, tmp_path, write):
     data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
     history = tmp_path / "history.npz"
@@ -574,12 +609,67 @@ def test_history_archive_round_trip(runner, tmp_path):
     assert r.exit_code == 0, r.output
     with np.load(history) as archive:
         # the untrained policy, then one snapshot per instance and pass
-        assert archive["snapshots"].shape[0] == 1 + 12 * 2
+        assert len(archive["offsets"]) - 1 == 1 + 12 * 2
     r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
                                  str(data), "--history", str(history)])
     assert r.exit_code == 0, r.output
     name, value = r.output.split()
     assert name == "accuracy" and 0.0 <= float(value) <= 1.0
+
+
+def test_eval_history_reads_a_dense_snapshots_archive(runner, tmp_path):
+    # the archive form `train --history-out` wrote before the pool's own:
+    # one dense row per snapshot under the key `snapshots`
+    data = gen(runner, tmp_path, "sequence", 12, "seq.tsv")
+    history, legacy = tmp_path / "history.npz", tmp_path / "legacy.npz"
+    r = runner.invoke(cli.main, train_args(data, "sequence", tmp_path / "m.model")
+                      + ["--passes", "2", "--history-out", str(history)])
+    assert r.exit_code == 0, r.output
+    pool = PolicyPool.load(history)
+    np.savez_compressed(legacy, config="c", snapshots=np.array(list(pool)))
+    assert all(a.tobytes() == b.tobytes() for a, b
+               in zip(PolicyPool.load(legacy), pool, strict=True))
+    lines = []
+    for path in (history, legacy):
+        r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
+                                     str(data), "--history", str(path)])
+        assert r.exit_code == 0, r.output
+        lines.append(r.output)
+    assert lines[0] == lines[1]
+
+
+def test_eval_model_and_history_together_exits_one(runner, tmp_path):
+    model, history = tmp_path / "m.model", tmp_path / "history.npz"
+    model.write_bytes(b"")
+    history.write_bytes(b"")
+    # a data path that does not exist: reading it would fail otherwise
+    r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
+                                 str(tmp_path / "missing.tsv"), "--model",
+                                 str(model), "--history", str(history)])
+    assert_clean_exit(r, 1)
+    assert r.output == "error: eval takes one of --model and --history\n"
+
+
+def test_history_archive_memory_is_bounded_by_writes(tmp_path):
+    # 40 sentences x 2 passes: dense rows would take 81 x 163840 float64,
+    # about 106 MB, in `train --history-out` and again in `eval --history`
+    data, history = tmp_path / "seq.tsv", tmp_path / "history.npz"
+    runner = CliRunner()
+    r = runner.invoke(cli.main, ["gen-data", "--task", "sequence", "--count",
+                                 "40", "--seed", "1", "--out", str(data)])
+    assert r.exit_code == 0, r.output
+    tracemalloc.start()
+    try:
+        r = runner.invoke(cli.main, train_args(data, "sequence", tmp_path / "m.model")
+                          + ["--passes", "2", "--history-out", str(history)])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
+                                     str(data), "--history", str(history)])
+        assert r.exit_code == 0, r.output
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_bound_and_unbiasedness_suites_pass(runner):

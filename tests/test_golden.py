@@ -118,7 +118,7 @@ def test_check_output(args):
 
 
 # `train --history-out` on 8 sequence instances (data seed 9), 2 passes:
-# the sha256 of the archive's `snapshots` array bytes with its shape and
+# the sha256 of the snapshots' dense float64 rows with their shape and
 # dtype (not of the .npz file, whose zip entries carry timestamps), and
 # the stdout of `eval --history` on that archive
 HISTORY_CASE = ((17, 163840), "float64",
@@ -133,8 +133,16 @@ def test_history_archive_and_averaged_eval(tmp_path, monkeypatch):
         "train", "--task", "sequence", "--data", "data.txt", "--passes", "2",
         "--seed", "4", "--out", "m.model", "--history-out", "history.npz"])
     assert r.exit_code == 0, r.output
+    # the dense rows, rebuilt here from the archive's keys: snapshot j is
+    # snapshot j - 1 with entry j's values set at entry j's indices
     with np.load("history.npz") as archive:
-        snapshots = archive["snapshots"]
+        offsets, indices, values = (archive[k]
+                                    for k in ("offsets", "indices", "values"))
+        row = np.zeros(int(archive["dimension"]))
+    snapshots = np.empty((len(offsets) - 1, len(row)), dtype=values.dtype)
+    for j, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        row[indices[lo:hi]] = values[lo:hi]
+        snapshots[j] = row
     r = CliRunner().invoke(cli.main, [
         "eval", "--task", "sequence", "--data", "data.txt", "--seed", "4",
         "--history", "history.npz"])

@@ -1,5 +1,6 @@
 """Roll-in / one-step-deviation / roll-out training loop."""
 
+import io
 import tracemalloc
 
 import numpy as np
@@ -202,11 +203,11 @@ def test_history_and_averaging_pool():
     trainer = Trainer(task.dimension, plan)
     g = rng.substream(0, rng.AVERAGING)
     with pytest.raises(NoPolicies):
-        AveragedPolicy(trainer.history[1:], g)  # only the initial policy
+        AveragedPolicy(trainer.history, g, first=1)  # only the initial policy
     trainer.process_example(task)
     assert len(trainer.history) == 2
-    avg = AveragedPolicy(trainer.history[1:], g)
-    assert len(avg.snapshots) == 1
+    avg = AveragedPolicy(trainer.history, g, first=1)
+    assert np.array_equal(avg.sample().weights, trainer.learner.weights)
 
 
 # one update's writes: (index, value) pairs into a pool of dimension
@@ -226,14 +227,11 @@ def test_policy_pool_snapshots_equal_dense_copies(updates, random):
     pool = PolicyPool(POOL_DIMENSION)
     weights = np.zeros(POOL_DIMENSION)
     dense = [weights.copy()]
-    kept = []  # (snapshot index, array read from the pool) held by a caller
     for writes in updates:
         for i, v in writes:
             weights[i] = v
         pool.append(weights, [i for i, _ in writes])
         dense.append(weights.copy())
-        j = random.randrange(len(dense))
-        kept.append((j, pool[j]))
         j = random.randrange(len(dense))
         assert same(pool.rebuild(j), dense[j])
 
@@ -241,16 +239,36 @@ def test_policy_pool_snapshots_equal_dense_copies(updates, random):
     order = list(range(len(dense)))
     random.shuffle(order)
     for j in order:
-        assert same(pool[j], dense[j])
         assert same(pool.rebuild(j), dense[j])
-    assert same(pool[-1], dense[-1])
+    assert same(pool.rebuild(-1), dense[-1])
     iterated = list(pool)  # kept: later arrays must leave earlier ones alone
     assert all(same(got, want) for got, want in zip(iterated, dense, strict=True))
-    lo, hi = sorted(random.randrange(len(dense) + 1) for _ in range(2))
-    step = random.choice([1, 2, 3, -1])
-    assert all(same(got, want) for got, want
-               in zip(pool[lo:hi:step], dense[lo:hi:step], strict=True))
-    assert all(same(a, dense[j]) for j, a in kept)
+    # through an archive of either form, zeros of both signs included
+    saved, legacy = io.BytesIO(), io.BytesIO()
+    pool.save(saved)
+    np.savez(legacy, snapshots=np.array(dense))
+    for archive in (saved, legacy):
+        archive.seek(0)
+        loaded = PolicyPool.load(archive)
+        assert all(same(got, want)
+                   for got, want in zip(loaded, dense, strict=True))
+        assert same(loaded.rebuild(j), dense[j])
+
+
+def test_policy_pool_save_load_round_trip(tmp_path):
+    trainer = Trainer(3 << 15, RolloutPlan(seed=2))
+    for _ in range(2):
+        for toks, tags in gen_sequences(2 * CHECKPOINT_EVERY, 5, tag_count=3):
+            trainer.process_example(SequenceTask(toks, tags, 3))
+    path = tmp_path / "history.npz"
+    trainer.history.save(path, config="c")
+    loaded = PolicyPool.load(path)
+    assert loaded.dimension == trainer.history.dimension
+    assert len(loaded) == 1 + 2 * 2 * CHECKPOINT_EVERY
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(loaded, trainer.history, strict=True))
+    assert all(loaded.rebuild(j).tobytes() == trainer.history.rebuild(j).tobytes()
+               for j in range(len(loaded)))
 
 
 def test_policy_pool_rejects_foreign_weights_and_indices():
@@ -262,7 +280,7 @@ def test_policy_pool_rejects_foreign_weights_and_indices():
     with pytest.raises(DimensionMismatch):
         pool.append(np.zeros(4), [-1])
     with pytest.raises(IndexError):
-        pool[1]
+        pool.rebuild(1)
     assert len(pool) == 1
 
 
@@ -311,9 +329,11 @@ def test_averaged_policy_monte_carlo_mean():
     assert theory.exact_J(model, task.learned_slot_policy(good)) == 0.0
     assert theory.exact_J(model, task.learned_slot_policy(bad)) == 100.0
 
-    from l2s.trainer import AveragedPolicy
     from l2s import core
-    avg = AveragedPolicy([good, bad], rng.substream(0, rng.AVERAGING))
+    pool = PolicyPool(task.dimension)
+    pool.append(good, np.flatnonzero(good))
+    pool.append(bad, np.flatnonzero(good + bad))
+    avg = AveragedPolicy(pool, rng.substream(0, rng.AVERAGING), first=1)
     total = 0.0
     for _ in range(10_000):
         pol = avg.sample()
