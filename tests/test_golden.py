@@ -65,27 +65,30 @@ def test_train_diagnostics_and_model_digests(tmp_path, monkeypatch, kind):
 
 
 BANDIT_CASES = {
-    # kind: (instances, rounds, log sha256); data seed 8, --epsilon 0.3
+    # kind: (instances, rounds, log sha256, stdout); data seed 8, --epsilon 0.3
     "multiclass": (60, 500,
-                   "7e105916bf3c340ee84915f9e2b282df7ac232948e52f2ba4c3f9755f8d33fa4"),
+                   "7e105916bf3c340ee84915f9e2b282df7ac232948e52f2ba4c3f9755f8d33fa4",
+                   "rounds 500  explored 135  exploit-loss (last 100): 0.5602\n"),
     "parse": (30, 200,
-              "423fac1add6744c3a9925519a7c30f6b5109dea863de7da7cbf6bea0e948a5b9"),
+              "423fac1add6744c3a9925519a7c30f6b5109dea863de7da7cbf6bea0e948a5b9",
+              "rounds 200  explored 54  exploit-loss (last 100): 0.6677\n"),
     "sequence": (30, 200,
-                 "35f97d65585ed3795eed880e6501229dad8c392b5691b11e49e5885f96747d6d"),
+                 "35f97d65585ed3795eed880e6501229dad8c392b5691b11e49e5885f96747d6d",
+                 "rounds 200  explored 55  exploit-loss (last 100): 0.7361\n"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BANDIT_CASES))
 def test_bandit_log_digest(tmp_path, monkeypatch, kind):
     monkeypatch.chdir(tmp_path)
-    count, rounds, log_sha = BANDIT_CASES[kind]
+    count, rounds, log_sha, stdout = BANDIT_CASES[kind]
     write_data("data.txt", kind, count, 8)
     r = CliRunner().invoke(cli.main, [
         "bandit", "--task", kind, "--data", "data.txt",
         "--rounds", str(rounds), "--epsilon", "0.3", "--seed", "3",
         "--log-out", "log.jsonl"])
     assert r.exit_code == 0, r.output
-    assert sha256("log.jsonl") == log_sha
+    assert (sha256("log.jsonl"), r.output) == (log_sha, stdout)
 
 
 CHECK_CASES = {
