@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 usage or config error, 2 data error, 3 failed
 exact-check suite.
 """
 
+import dataclasses
 import json
 import sys
+from collections import deque
 
 import click
 import numpy as np
@@ -177,16 +179,8 @@ def grid(config_path, out, **overrides):
     report = experiment.run_grid(train_set, test_set, cfg)
     click.echo(experiment.render_grid(report))
     if out:
-        payload = {
-            "metric": report.metric,
-            "higher_is_better": report.higher_is_better,
-            "config_hash": report.config_hash,
-            "cells": [{"roll_in": c.roll_in, "roll_out": c.roll_out,
-                       "seed": c.seed, "value": c.value}
-                      for c in report.cells],
-        }
         with open(out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(dataclasses.asdict(report), fh, indent=2)
         click.echo(f"report -> {out}")
 
 
@@ -220,7 +214,8 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
         beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)
     pick = rng.substream(cfg.seed, rng.DATA)
     log_fh = open(log_out, "w") if log_out else None
-    exploit_losses = []
+    # the window of exploit losses the closing line averages
+    window = deque(maxlen=100)
     for round_id in range(rounds):
         i = int(pick.integers(len(dataset.records)))
         task = experiment.make_task(dataset, i, normalize_loss=True)
@@ -229,7 +224,7 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
         state, outcome = banditmod.bandit_step(
             state, task, lambda end: core.end_loss(task, end), reference)
         if outcome.mode == "exploited":
-            exploit_losses.append(outcome.observed_loss)
+            window.append(outcome.observed_loss)
         if log_fh:
             entry = {"round": round_id, "instance": i,
                      "mode": outcome.mode,
@@ -240,7 +235,6 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
             log_fh.write(json.dumps(entry) + "\n")
     if log_fh:
         log_fh.close()
-    window = exploit_losses[-100:]
     avg = f"{sum(window) / len(window):.4f}" if window else "n/a"
     click.echo(f"rounds {rounds}  explored {state.n_explore}  "
                f"exploit-loss (last {len(window)}): {avg}")

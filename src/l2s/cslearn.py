@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sparse
-from .core import LinearPolicy, act, argmin
+from .core import LinearPolicy, argmin
 from .errors import (
     Diverged, DimensionMismatch, EmptyActionSet, NonFiniteCost, L2SError)
 
@@ -45,23 +45,14 @@ class CostSensitiveExample:
             raise NonFiniteCost(f"costs {self.costs}")
 
 
-@dataclass
-class RegretLedger:
-    """Running account of the learner's cumulative cost."""
-
-    cum_alg_cost: float = 0.0
-    count: int = 0
-
-
 class CostSensitiveLearner:
-    """CSOAA over sparse per-action features with regret accounting: one
-    dense squared-loss regressor updated by plain OGD."""
+    """CSOAA over sparse per-action features: one dense squared-loss
+    regressor updated by plain OGD."""
 
     def __init__(self, dimension, eta0=0.5):
         self.weights = np.zeros(dimension, dtype=np.float64)
         self.eta0 = eta0
         self.updates = 0
-        self.ledger = RegretLedger()
 
     @property
     def dimension(self):
@@ -74,16 +65,12 @@ class CostSensitiveLearner:
     def update(self, example):
         """One sequential gradient pass over the example's (x, c) pairs.
 
-        The ledger accrues the cost of the label predict() would have
-        chosen immediately before this update. The scores taken for that
-        choice are reused as w.x for each block not yet written in this
-        update; only a repeated block is scored again.
+        The scores taken once before the pass are w.x for each block not
+        yet written in this update; only a repeated block is scored again.
         """
         f = example.per_action_features
         scores = f.scores(self.weights)
         costs = example.costs.tolist()
-        self.ledger.cum_alg_cost += costs[argmin(scores)]
-        self.ledger.count += 1
         self.updates += 1
         lr = self.eta0 / math.sqrt(self.updates)
         w = memoryview(self.weights)
@@ -104,25 +91,6 @@ class CostSensitiveLearner:
         """Snapshot of the current argmin policy (weights copied)."""
         return LinearPolicy(self.weights.copy())
 
-    def cs_regret(self, examples, comparator_policies):
-        """Cumulative algorithm cost minus the best fixed comparator's cost.
-
-        `examples` is the stream this learner was updated on, in order;
-        comparators are callables example -> action index.
-        """
-        if self.ledger.count == 0:
-            return 0.0
-        if not comparator_policies:
-            raise L2SError("comparator set is empty")
-        if len(examples) != self.ledger.count:
-            raise L2SError(f"stream of {len(examples)} examples, "
-                           f"ledger counted {self.ledger.count} updates")
-        best = min(
-            sum(float(ex.costs[h(ex)]) for ex in examples)
-            for h in comparator_policies
-        )
-        return self.ledger.cum_alg_cost - best
-
     # -- persistence: versioned flat binary file, bit-exact round trip --
 
     def save(self, path):
@@ -137,13 +105,14 @@ class CostSensitiveLearner:
         with open(path, "rb") as fh:
             magic = fh.read(len(MAGIC))
             if magic != MAGIC:
-                raise L2SError(f"bad model file magic {magic!r}")
+                raise L2SError(f"model file magic {magic!r}, expected {MAGIC!r}")
             header = fh.read(HEADER.size)
             if len(header) != HEADER.size:
                 raise L2SError(f"model header truncated to {len(header)} bytes")
             version, d, eta0, updates = HEADER.unpack(header)
             if version != FORMAT_VERSION:
-                raise L2SError(f"unsupported model format version {version}")
+                raise L2SError(f"model format version {version}, "
+                               f"expected {FORMAT_VERSION}")
             payload = fh.read()
         if len(payload) != 8 * d:
             raise L2SError(f"model holds {len(payload)} weight bytes, "
@@ -155,8 +124,3 @@ class CostSensitiveLearner:
         learner.weights = w
         learner.updates = updates
         return learner
-
-
-def comparator_from_policy(policy):
-    """Adapt a LinearPolicy into an example-level comparator."""
-    return lambda example: act(policy, example.per_action_features)

@@ -33,10 +33,6 @@ class Diverged(L2SError):
     """A learner update step was NaN or infinite (eta0 too large)."""
 
 
-class MissingGold(L2SError):
-    """An operation needing gold labels ran on an unlabeled instance."""
-
-
 class NoPolicies(L2SError):
     """Policy averaging was requested before any policy was recorded."""
 

@@ -79,8 +79,9 @@ class ExperimentConfig:
 
 
 def read_config(path):
-    """Flat key=value file, '#' comments, blank lines ignored."""
-    out = {}
+    """Flat key=value file, '#' comments, blank lines ignored; a key given
+    twice is a BadConfig."""
+    out, line_of = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -93,7 +94,10 @@ def read_config(path):
         if "=" not in line:
             raise BadConfig(f"line {no}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        out[key] = value
+        if key in out:
+            raise BadConfig(f"line {no}: key {key!r} repeats line "
+                            f"{line_of[key]}")
+        out[key], line_of[key] = value, no
     return out
 
 
@@ -284,10 +288,11 @@ class GridCell:
 
 @dataclass
 class GridReport:
+    # field order is the order of the `grid --out` JSON keys
     metric: str
     higher_is_better: bool
-    cells: list
     config_hash: str
+    cells: list
 
     def cell(self, roll_in, roll_out):
         for c in self.cells:
@@ -318,7 +323,7 @@ def run_grid(train_set, test_set, config):
                         seed=config.seed)
         _, value = evaluate(test_set, trainer.learner.policy())
         cells.append(GridCell(ri, ro, cell_seed, value))
-    return GridReport(name, higher, cells, config_hash(config))
+    return GridReport(name, higher, config_hash(config), cells)
 
 
 def render_grid(report):

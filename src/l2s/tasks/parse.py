@@ -13,7 +13,6 @@ the gold arcs an action makes unreachable (see its docstring).
 """
 
 from ..core import SearchTask, SeededReference, StateRef, argmin
-from ..errors import MissingGold
 from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
 SHIFT, REDUCE_LEFT, REDUCE_RIGHT = 0, 1, 2
@@ -27,12 +26,12 @@ class ParseTask(SearchTask):
     heads[i] is the assigned head of token i+1 (0 root, -1 unassigned).
     """
 
-    def __init__(self, tokens, gold_heads=None):
+    def __init__(self, tokens, gold_heads):
         self.tokens = list(tokens)
         self.n = len(self.tokens)
         if self.n < 1:
             raise ValueError("empty sentence")
-        self.gold_heads = list(gold_heads) if gold_heads is not None else None
+        self.gold_heads = list(gold_heads)
         self.base = 1 << BASE_BITS
         self.horizon = 2 * self.n - 1
         self.dimension = 3 * self.base
@@ -120,8 +119,6 @@ class ParseTask(SearchTask):
         return heads
 
     def terminal_loss(self, state):
-        if self.gold_heads is None:
-            raise MissingGold("unlabeled sentence has no loss")
         pred = self.predicted_heads(state)
         wrong = sum(1 for p, g in zip(pred, self.gold_heads) if p != g)
         return wrong / self.n  # 1 - UAS
@@ -141,8 +138,6 @@ class ParseTask(SearchTask):
         still been an optimal action in every exhaustive check
         (`tests/test_tasks.py`), which is all the optimal reference uses.
         """
-        if self.gold_heads is None:
-            raise MissingGold("oracle costs need gold heads")
         stack, buf, _ = payload
         gold = self.gold_heads
         in_buffer = lambda i: buf <= i <= self.n
@@ -170,8 +165,6 @@ class ParseTask(SearchTask):
         return c
 
     def reference_policy(self, quality="optimal", seed=0):
-        if self.gold_heads is None:
-            raise MissingGold("reference policy needs gold heads")
         return ParseReference(self, quality, seed)
 
 

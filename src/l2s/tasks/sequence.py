@@ -1,7 +1,6 @@
 """Left-to-right sequence tagging under Hamming loss."""
 
 from ..core import SearchTask, SeededReference, StateRef
-from ..errors import MissingGold
 from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
 BASE_BITS = 15
@@ -17,7 +16,7 @@ class SequenceTask(SearchTask):
 
     def __init__(self, tokens, gold_tags, tag_count, normalize_loss=False):
         self.tokens = list(tokens)
-        self.gold_tags = list(gold_tags) if gold_tags is not None else None
+        self.gold_tags = list(gold_tags)
         self.tag_count = tag_count
         self.base = 1 << BASE_BITS
         self.horizon = len(self.tokens)
@@ -56,8 +55,6 @@ class SequenceTask(SearchTask):
                               tuple(range(self.action_count(state))), self.dimension)
 
     def terminal_loss(self, state):
-        if self.gold_tags is None:
-            raise MissingGold("unlabeled sequence has no loss")
         wrong = sum(1 for p, g in zip(state.payload, self.gold_tags) if p != g)
         return wrong / self.horizon if self.normalize_loss else float(wrong)
 
@@ -65,8 +62,6 @@ class SequenceTask(SearchTask):
         return list(state.payload)
 
     def reference_policy(self, quality="optimal", seed=0):
-        if self.gold_tags is None:
-            raise MissingGold("reference policy needs gold tags")
         return SequenceReference(self, quality, seed)
 
 

@@ -2,14 +2,23 @@
 
 from .. import rng
 
+# words per tag in a sequence vocabulary, and the chance that a word is
+# drawn from a random tag's slice instead of its own
+VOCAB_PER_TAG = 8
+EMISSION_NOISE = 0.1
+# distinct word ids per head direction in a tree's tokens
+TREE_VOCAB = 30
+# noise features per multiclass example, and the range of a wrong label's cost
+NOISE_FEATURES = 3
+OFF_COST_RANGE = (0.5, 1.0)
 
-def gen_sequences(count, seed, tag_count=5, vocab_per_tag=8, min_len=5,
-                  max_len=8, emission_noise=0.1):
+
+def gen_sequences(count, seed, tag_count=5, min_len=5, max_len=8):
     """Sentences from a seeded HMM with peaked, learnable emissions.
 
-    Returns a list of (tokens, tags). Each tag owns a vocabulary slice;
-    with probability `emission_noise` a word is drawn from a random tag's
-    slice instead.
+    Returns a list of (tokens, tags). Each tag owns a vocabulary slice of
+    VOCAB_PER_TAG words; with probability EMISSION_NOISE a word is drawn
+    from a random tag's slice instead.
     """
     g = rng.substream(seed, rng.DATA)
     trans = g.dirichlet([1.0] * tag_count, size=tag_count)
@@ -23,9 +32,9 @@ def gen_sequences(count, seed, tag_count=5, vocab_per_tag=8, min_len=5,
             tag = int(g.choice(tag_count, p=probs))
             tags.append(tag)
             src = tag
-            if g.random() < emission_noise:
+            if g.random() < EMISSION_NOISE:
                 src = int(g.integers(tag_count))
-            word = f"w{src:02d}_{int(g.integers(vocab_per_tag)):02d}"
+            word = f"w{src:02d}_{int(g.integers(VOCAB_PER_TAG)):02d}"
             tokens.append(word)
         out.append((tokens, tags))
     return out
@@ -41,7 +50,7 @@ def _random_projective(lo, hi, g, heads, head_of_span):
     _random_projective(r + 1, hi, g, heads, r)
 
 
-def gen_trees(count, seed, min_len=3, max_len=6, vocab=30):
+def gen_trees(count, seed, min_len=3, max_len=6):
     """Random projective dependency trees with weakly indicative tokens.
 
     Returns a list of (tokens, gold_heads); heads are 1-based with 0 the
@@ -58,28 +67,27 @@ def gen_trees(count, seed, min_len=3, max_len=6, vocab=30):
         for i in range(1, n + 1):
             h = heads[i - 1]
             direction = "r" if h == 0 else ("l" if h < i else "g")
-            word = f"t{direction}{int(g.integers(vocab)):02d}"
+            word = f"t{direction}{int(g.integers(TREE_VOCAB)):02d}"
             tokens.append(word)
         out.append((tokens, heads))
     return out
 
 
-def gen_multiclass(count, seed, label_count=8, noise_features=3,
-                   off_lo=0.5, off_hi=1.0):
+def gen_multiclass(count, seed, label_count=8):
     """Cost-sensitive examples with all costs in [0, 1].
 
     The gold label costs 0; every other label draws a uniform cost in
-    [off_lo, off_hi]. One feature indicates the gold label, padded with a
-    few noise features. Returns a list of (feature_pairs, costs).
+    OFF_COST_RANGE. One feature indicates the gold label, padded with
+    NOISE_FEATURES noise features. Returns a list of (feature_pairs, costs).
     """
     g = rng.substream(seed, rng.DATA)
     out = []
     for _ in range(count):
         gold = int(g.integers(label_count))
-        costs = g.uniform(off_lo, off_hi, size=label_count)
+        costs = g.uniform(*OFF_COST_RANGE, size=label_count)
         costs[gold] = 0.0
         pairs = [(gold, 1.0)]
-        for _ in range(noise_features):
+        for _ in range(NOISE_FEATURES):
             pairs.append((label_count + int(g.integers(20)), 1.0))
         pairs = sorted(set(pairs))
         out.append((pairs, costs))

@@ -89,7 +89,11 @@ class BoundReport:
     satisfied: bool
 
 
-def check_regret_bound(model, ref, trace, beta, tol=1e-9):
+# slack for float rounding when the bound's two sides are compared
+BOUND_TOL = 1e-9
+
+
+def check_regret_bound(model, ref, trace, beta):
     """Verify the convex-combination regret bound on a finished run.
 
     `trace` holds the learned policy after each round (exact-evaluable).
@@ -134,7 +138,7 @@ def check_regret_bound(model, ref, trace, beta, tol=1e-9):
         lhs_dev_term=lhs_dev,
         eps_bar=eps_direct,
         rhs=rhs,
-        satisfied=lhs_ref + lhs_dev <= rhs + tol,
+        satisfied=lhs_ref + lhs_dev <= rhs + BOUND_TOL,
     )
 
 

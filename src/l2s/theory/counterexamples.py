@@ -19,6 +19,9 @@ from .exact import (
 )
 
 ROLLIN_ROUNDS = 40
+# the roll-out demo's training seed, and its contrast run's mixture weight
+ROLLOUT_SEED = 0
+MIXTURE_BETA = 0.5
 
 
 def _expected_example_cost(model, task, policy, example):
@@ -87,7 +90,7 @@ def one_step_deviations(model, policy):
     return out
 
 
-def reference_rollout_failure(model, rounds=500, beta=0.5, seed=0):
+def reference_rollout_failure(model, rounds=500):
     """Roll-out with the reference converges to a locally dominated policy.
 
     Runs learned roll-in with reference roll-out, reports the converged
@@ -96,14 +99,15 @@ def reference_rollout_failure(model, rounds=500, beta=0.5, seed=0):
     """
     if rounds < 1:
         raise BadConfig(f"rounds {rounds} must be at least 1")
-    plan = RolloutPlan(roll_in="learned", roll_out="reference", seed=seed)
+    plan = RolloutPlan(roll_in="learned", roll_out="reference",
+                       seed=ROLLOUT_SEED)
     _, _, trace, _ = run_training(model, plan, rounds)
     final = trace[-1]
     J_learned = exact_J(model, final)
     best_dev = min(exact_J(model, p) for p in one_step_deviations(model, final))
 
     mix_plan = RolloutPlan(roll_in="learned", roll_out="mixture",
-                           beta=beta, seed=seed)
+                           beta=MIXTURE_BETA, seed=ROLLOUT_SEED)
     _, _, mix_trace, _ = run_training(model, mix_plan, rounds)
     mixture_J = exact_J(model, mix_trace[-1])
     return RolloutFailureReport(

@@ -240,7 +240,7 @@ class Trainer:
     def process_example(self, task, reference=None):
         """Run one structured example through the loop; returns diagnostics."""
         if reference is None:
-            reference = task.reference_policy()  # may raise MissingGold
+            reference = task.reference_policy()
         # The learned policy reads the live weights, not a copy: no update
         # runs until every roll-out of this instance is done, so it stays
         # frozen for the whole instance, as LinearPolicy's memo needs. It

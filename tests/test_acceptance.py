@@ -46,7 +46,7 @@ def test_criterion_2_reference_rollout_local_optimum():
     # the mixture roll-out run escapes to J = 0
     t0 = time.time()
     r = theory.reference_rollout_failure(theory.shared_feature_chooser(0.1),
-                                         rounds=500, beta=0.5, seed=0)
+                                         rounds=500)
     ok = (abs(r.J_learned - 0.9) <= 1e-9
           and abs(r.best_deviation_J - 0.0) <= 1e-9
           and abs(r.mixture_J - 0.0) <= 1e-9
@@ -67,7 +67,7 @@ def test_criterion_3_regret_bound_suite():
                                beta=beta, seed=0)
             _, task, trace, _ = theory.run_training(model, plan, 30)
             rep = theory.check_regret_bound(model, task.reference_policy(),
-                                            trace, beta, tol=1e-9)
+                                            trace, beta)
             total += 1
             satisfied += rep.satisfied
     elapsed = time.time() - t0

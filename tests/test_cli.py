@@ -123,17 +123,29 @@ def test_console_entry_exit_codes(tmp_path):
 
 
 def test_bad_config_key_exits_one(runner, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+
+    def train_with(text):
+        cfgfile.write_text(text)
+        return runner.invoke(cli.main, ["train", "--config", str(cfgfile),
+                                        "--out", str(tmp_path / "m")])
+
     # draw_granularity: a key the schema no longer has
     for key, value in [("nonsense", "1"), ("draw_granularity", "per_rollout")]:
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"{key} = {value}\n")
-        r = runner.invoke(cli.main, ["train", "--config", str(cfgfile),
-                                     "--out", str(tmp_path / "m")])
+        r = train_with(f"{key} = {value}\n")
         assert r.exit_code == 1
         assert key in r.output
         # library callers build the config without the CLI's read sets
         with pytest.raises(BadConfig, match=f"unknown config key '{key}'"):
             build_config({key: value})
+    # a key given twice names both lines, whichever value would win
+    r = train_with("task = sequence\n# comment\n\ntask = parse\n")
+    assert_clean_exit(r, 1)
+    assert "error: line 4: key 'task' repeats line 1" in r.output
+    r = train_with("passes 3\n")
+    assert_clean_exit(r, 1)
+    assert "error: line 1: expected key=value, got 'passes 3'" in r.output
+    assert not (tmp_path / "m").exists()
 
 
 def test_malformed_data_exits_two(runner, tmp_path):
@@ -411,7 +423,11 @@ def test_bad_learning_rate_exits_one(runner, tmp_path, flags, message):
     lambda blob: blob[:-8],
     lambda blob: blob + bytes(8),
     lambda blob: blob[:-8] + struct.pack("<d", math.nan),
-], ids=["short-header", "short-payload", "long-payload", "nan-weight"])
+    lambda blob: b"CSLEARN2" + blob[8:],
+    # the version is the first header field, right after the magic
+    lambda blob: blob[:8] + struct.pack("<I", 2) + blob[12:],
+], ids=["short-header", "short-payload", "long-payload", "nan-weight",
+        "bad-magic", "version-2"])
 def test_damaged_model_file_exits_one(runner, tmp_path, damage):
     data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
     model = tmp_path / "m.model"
@@ -440,6 +456,8 @@ def test_damaged_model_file_exits_one(runner, tmp_path, damage):
     ("sequence", "a\t1000000000\t\n\nb\t0\t\n"),  # tag beyond the bound
     ("multiclass", "1:nan,0.5,0.2\n"),    # non-finite feature value
     ("multiclass", "1:1.0,0.5,inf\n"),    # non-finite cost
+    ("parse", "a\t\t0\nb\t\t3\nc\t\t2\n"),  # one root, and a cycle
+    ("multiclass", "1:1,0.0,1.0\n1:1,0.0,1.0,0.5\n"),  # cost counts differ
 ])
 def test_unusable_data_file_exits_two(runner, tmp_path, kind, text):
     data = tmp_path / "data.txt"
@@ -581,6 +599,12 @@ def test_non_utf8_file_exits_cleanly(runner, tmp_path, kind, reader, code):
     (["check", "identity", "--models", "-1"], "--models -1 must be at least 1"),
     (["gen-data", "--task", "sequence", "--count", "-2"],
      "--count -2 must be at least 1"),
+    (["train", "--passes", "abc"], "bad value 'abc' for passes"),
+    (["train", "--reference-quality", "best"],
+     "reference_quality must be one of"),
+    # the config is checked before the data path is read
+    (["grid", "--task", "foo", "--data", "unread.txt"], "task must be one of"),
+    (["grid"], "data path is required"),
 ])
 def test_option_out_of_range_exits_one(runner, tmp_path, args, message):
     if args[0] in ("train", "bandit"):

@@ -1,4 +1,4 @@
-"""Cost-sensitive one-against-all learner: updates, regret, persistence."""
+"""Cost-sensitive one-against-all learner: updates and persistence."""
 
 import math
 import os
@@ -14,7 +14,6 @@ from l2s.cslearn import (
     MAGIC,
     CostSensitiveExample,
     CostSensitiveLearner,
-    comparator_from_policy,
 )
 from l2s.errors import (
     DimensionMismatch,
@@ -87,45 +86,6 @@ def test_learning_rate_decays_with_update_count():
     learner.update(ex([2.0]))           # lr = 0.5/sqrt(3)
     lr3 = 0.5 / math.sqrt(3)
     assert learner.weights[0] == pytest.approx(1.0 + 2 * lr3 * (2.0 - 1.0))
-
-
-def test_ledger_accrues_pre_update_cost():
-    learner = CostSensitiveLearner(4)
-    learner.update(ex([3.0, 1.0]))  # zero weights choose action 0, cost 3
-    assert learner.ledger.cum_alg_cost == pytest.approx(3.0)
-    assert learner.ledger.count == 1
-
-
-def test_cs_regret_against_comparators():
-    learner = CostSensitiveLearner(4)
-    stream = [ex([3.0, 1.0]), ex([0.0, 2.0])]
-    for e in stream:
-        learner.update(e)
-    always0 = lambda e: 0
-    always1 = lambda e: 1
-    # algorithm paid 3 + 0 (weights pointed to action 0 the second time too,
-    # after learning from the first update) -- read it off the ledger
-    alg = learner.ledger.cum_alg_cost
-    assert learner.cs_regret(stream, [always0, always1]) == pytest.approx(
-        alg - min(3.0 + 0.0, 1.0 + 2.0))
-
-
-def test_cs_regret_needs_examples_and_comparators():
-    learner = CostSensitiveLearner(4)
-    assert learner.cs_regret([], [lambda e: 0]) == 0.0  # nothing seen yet
-    stream = [ex([1.0])]
-    learner.update(stream[0])
-    with pytest.raises(L2SError):
-        learner.cs_regret(stream, [])
-    with pytest.raises(L2SError):
-        learner.cs_regret(stream * 2, [lambda e: 0])  # not the charged stream
-
-
-def test_comparator_from_policy():
-    from l2s.core import LinearPolicy
-    pol = LinearPolicy(np.array([0.0, -1.0, 0.0, 0.0]))
-    h = comparator_from_policy(pol)
-    assert h(ex([5.0, 5.0])) == 1  # feature 1 scores lowest
 
 
 def test_gradient_matches_finite_differences():

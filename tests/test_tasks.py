@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from l2s import core
-from l2s.errors import DataFormatError, MissingGold, NotTerminal
+from l2s import core, rng
+from l2s.errors import DataFormatError, NotTerminal
 from l2s.tasks import (
     LabelTreeTask,
     ParseTask,
@@ -110,14 +110,6 @@ def test_sequence_bad_reference_is_seeded():
     choices2 = [task.reference_policy("bad", seed=9).choose(task, task.start_state())
                 for _ in range(5)]
     assert choices1 == choices2
-
-
-def test_sequence_missing_gold():
-    task = SequenceTask(["aa"], None, tag_count=2)
-    with pytest.raises(MissingGold):
-        task.terminal_loss(core.StateRef(1, (0,)))
-    with pytest.raises(MissingGold):
-        task.reference_policy()
 
 
 def test_hamming_cost_vectors_ignore_rollout_policy():
@@ -270,10 +262,22 @@ def test_parse_suboptimal_greedy_when_obvious():
     assert sub.choose(task, s) == 0
 
 
-def test_parse_missing_gold():
-    task = ParseTask(["x", "y"], None)
-    with pytest.raises(MissingGold):
-        task.reference_policy()
+def test_parse_suboptimal_draws_when_zero_cost_is_not_unique():
+    # gold: y heads x and z. Shift, shift, then ReduceRight puts y under x,
+    # after which shifting z and reducing x both lose no further gold arc
+    task = ParseTask(["x", "y", "z"], [2, 0, 2])
+    s = task.start_state()
+    for a in (0, 0, 2):
+        s = task.transition(s, a)
+    legal = task.legal_actions(s)
+    assert [task.action_cost(s.payload, a) for a in legal] == [0, 0]
+    picks = []
+    for seed in range(8):
+        sub = task.reference_policy("suboptimal", seed=seed)
+        want = int(rng.substream(seed, rng.REFERENCE).integers(len(legal)))
+        picks.append(sub.choose(task, s))
+        assert picks[-1] == want
+    assert set(picks) == {0, 1}
 
 
 # -- synthetic data --
