@@ -38,12 +38,16 @@ class BanditState:
         self.learner = CostSensitiveLearner(dimension, eta0)
         # the initial policy, then one snapshot per explore round
         self.explored_policies = PolicyPool(dimension)
-        self.n_explore = 0
         self.explore_rng = rng.substream(seed, rng.EXPLORATION)
         self.mixture_rng = rng.substream(seed, rng.MIXTURE)
         self.average_rng = rng.substream(seed, rng.AVERAGING)
         self._plan = RolloutPlan(roll_in="learned", roll_out="mixture",
                                  beta=beta, seed=seed)
+
+    @property
+    def n_explore(self):
+        """Explore rounds so far: the pool's snapshots after the initial one."""
+        return len(self.explored_policies) - 1
 
 
 def importance_weighted_costs(k, taken, loss):
@@ -78,39 +82,39 @@ def _checked_loss(loss_oracle, end_state):
 
 def exploration_step(task, latest, reference, loss, explore_rng, mixture_rng,
                      plan):
-    """One exploration draw; returns (s_t, end state, record).
+    """One exploration draw; returns (features of s_t, end state, record).
 
     Rolls in with `latest` to a uniform depth t, takes a uniform action
-    a_t (both from `explore_rng`), completes with `plan`'s mixture of
-    `reference` and `latest` (one draw from `mixture_rng`) and records
-    t, a_t, k, `loss(end)`, the roll-out kind and the weighted costs.
+    a_t among the k blocks of `task.action_features(s_t)` (t and a_t both
+    from `explore_rng`), completes with `plan`'s mixture of `reference`
+    and `latest` (one draw from `mixture_rng`) and records t, a_t, k,
+    `loss(end)`, the roll-out kind and the weighted costs.
     """
     t = int(explore_rng.integers(task.horizon))
     s_t = core.execute(task, latest, task.start_state(), t)
-    k = task.action_count(s_t)
+    features = task.action_features(s_t)
+    k = len(features)
     a_t = int(explore_rng.integers(k))
 
     end, out_policy = complete_deviation(task, s_t, a_t, plan, reference,
                                          latest, mixture_rng)
     observed = loss(end)
-    return s_t, end, {"t": t, "action": a_t, "k": k, "loss": observed,
-                      "rollout": ("reference" if out_policy is reference
-                                  else "learned"),
-                      "costs": importance_weighted_costs(k, a_t, observed)}
+    return features, end, {
+        "t": t, "action": a_t, "k": k, "loss": observed,
+        "rollout": "reference" if out_policy is reference else "learned",
+        "costs": importance_weighted_costs(k, a_t, observed)}
 
 
 def _explore(state, task, loss_oracle, reference):
     # the latest policy reads the live weights, not a copy: the update
     # runs only after its roll-in and roll-out are done
-    s_t, end, record = exploration_step(
+    features, end, record = exploration_step(
         task, core.LinearPolicy(state.learner.weights), reference,
         partial(_checked_loss, loss_oracle), state.explore_rng,
         state.mixture_rng, state._plan)
-    features = task.action_features(s_t)
     state.learner.update(CostSensitiveExample(features, record["costs"]))
     state.explored_policies.append(state.learner.weights,
                                    features.weight_indices())
-    state.n_explore += 1
     return state, BanditOutcome(mode="explored",
                                 prediction=task.decode(end),
                                 observed_loss=record["loss"],

@@ -1,9 +1,9 @@
 """Search-space abstraction, linear policies, and trajectory execution.
 
-A task instance induces a search space: a start state, per-state action
-sets, a deterministic transition function, per-action feature vectors and
-a loss on end states. All trajectories from the start state terminate in
-exactly `horizon` actions.
+A task instance induces a search space: a start state, a deterministic
+transition function, per-state action features whose blocks are the
+state's actions, and a loss on end states. All trajectories from the
+start state terminate in exactly `horizon` actions.
 """
 
 from abc import ABC, abstractmethod
@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import (
-    BadConfig,
-    EmptyActionSet,
-    HorizonExceeded,
-    NoLegalAction,
-    NotTerminal,
-)
+from .errors import BadConfig, EmptyActionSet, HorizonExceeded, NotTerminal
 
 
 @dataclass(frozen=True)
@@ -46,17 +40,14 @@ class SearchTask(ABC):
         ...
 
     @abstractmethod
-    def action_count(self, state) -> int:
-        """Number of live actions at `state` (0 at terminal states)."""
-
-    @abstractmethod
     def transition(self, state, action) -> StateRef:
         ...
 
     @abstractmethod
     def action_features(self, state):
-        """The state's sparse.ActionFeatures: one block id per live
-        action, in action order."""
+        """The state's sparse.ActionFeatures, whose blocks are its live
+        actions, one block id per action, in action order. Only called
+        below the horizon."""
 
     def feature_key(self, state):
         """A hashable key of what `action_features(state)` reads: two
@@ -171,8 +162,6 @@ def execute(task, policy, from_state, steps):
         )
     s = from_state
     for _ in range(steps):
-        if task.action_count(s) == 0:
-            raise NoLegalAction(f"no legal action at depth {s.depth}")
         s = task.transition(s, policy.choose(task, s))
     return s
 

@@ -9,10 +9,6 @@ class HorizonExceeded(L2SError):
     """A rollout was asked to step past the fixed trajectory length."""
 
 
-class NoLegalAction(L2SError):
-    """A non-terminal state offered an empty action set (task bug)."""
-
-
 class NotTerminal(L2SError):
     """End-state loss was requested for a state before the horizon."""
 

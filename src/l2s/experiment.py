@@ -8,6 +8,7 @@ same data order and differs only in strategy.
 
 import hashlib
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 from . import core, rng
@@ -79,8 +80,9 @@ class ExperimentConfig:
 
 
 def read_config(path):
-    """Flat key=value file, '#' comments, blank lines ignored; a key given
-    twice is a BadConfig."""
+    """Flat key=value file, blank lines ignored; a key given twice is a
+    BadConfig. A comment starts at a '#' that begins the line or follows
+    whitespace, so `data = run#1.csv` keeps its '#'."""
     out, line_of = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -88,7 +90,7 @@ def read_config(path):
     except UnicodeDecodeError as exc:
         raise BadConfig(f"{path} is not UTF-8 text: {exc}")
     for no, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

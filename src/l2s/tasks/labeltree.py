@@ -57,12 +57,6 @@ class LabelTreeTask(SearchTask):
     def start_state(self):
         return StateRef(0, (0, self.k - 1))
 
-    def action_count(self, state):
-        if state.depth >= self.horizon:
-            return 0
-        lo, hi = state.payload
-        return 2 if lo < hi else 1
-
     def transition(self, state, action):
         lo, hi = state.payload
         if lo == hi:
@@ -81,7 +75,7 @@ class LabelTreeTask(SearchTask):
         for i, v in self.example_features:
             pairs.append((hash_index(f"{node}:f{i}", self.base), v))
         return ActionFeatures(from_pairs(pairs, self.base),
-                              tuple(range(self.action_count(state))), self.dimension)
+                              tuple(range(2 if lo < hi else 1)), self.dimension)
 
     def terminal_loss(self, state):
         lo, hi = state.payload

@@ -39,8 +39,9 @@ class ParseTask(SearchTask):
     def start_state(self):
         return StateRef(0, ((), 1, (-1,) * self.n))
 
-    def _legal(self, payload):
-        stack, buf, _ = payload
+    def legal_actions(self, state):
+        """The transition ids of the live actions, in action order."""
+        stack, buf, _ = state.payload
         acts = []
         if buf <= self.n:
             acts.append(SHIFT)
@@ -50,17 +51,9 @@ class ParseTask(SearchTask):
             acts.append(REDUCE_RIGHT)
         return acts
 
-    def legal_actions(self, state):
-        return self._legal(state.payload)
-
-    def action_count(self, state):
-        if state.depth >= self.horizon:
-            return 0
-        return len(self._legal(state.payload))
-
     def transition(self, state, action):
         stack, buf, heads = state.payload
-        act = self._legal(state.payload)[action]
+        act = self.legal_actions(state)[action]
         heads = list(heads)
         if act == SHIFT:
             stack = stack + (buf,)
@@ -108,7 +101,7 @@ class ParseTask(SearchTask):
         idx = sorted({hash_index(k, self.base) for k in keys})
         # one base block per global action id, not per legal-action slot
         return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),
-                              tuple(self._legal(state.payload)), self.dimension)
+                              tuple(self.legal_actions(state)), self.dimension)
 
     def predicted_heads(self, state):
         """Heads at an end state; the lone stack survivor attaches to root."""

@@ -26,9 +26,6 @@ class SequenceTask(SearchTask):
     def start_state(self):
         return StateRef(0, ())
 
-    def action_count(self, state):
-        return 0 if state.depth >= self.horizon else self.tag_count
-
     def transition(self, state, action):
         return StateRef(state.depth + 1, state.payload + (action,))
 
@@ -52,7 +49,7 @@ class SequenceTask(SearchTask):
     def action_features(self, state):
         idx = sorted({hash_index(k, self.base) for k in self._base_keys(state)})
         return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),
-                              tuple(range(self.action_count(state))), self.dimension)
+                              tuple(range(self.tag_count)), self.dimension)
 
     def terminal_loss(self, state):
         wrong = sum(1 for p, g in zip(state.payload, self.gold_tags) if p != g)

@@ -22,8 +22,10 @@ class ExactModel:
     """A search space, checked and indexed once, when it is built.
 
     Construction raises L2SError unless the start state has a depth,
-    every non-terminal state has actions and every edge leads one depth
-    down. It derives `horizon`, each state's signature and
+    every loss is on a state at the horizon, every non-terminal state has
+    actions and every edge leads one depth down. So the terminal states
+    are the states at the horizon, and every state below it has an
+    action. It derives `horizon`, each state's signature and
     `signature_state`, each signature's first non-terminal state in
     (depth, name) order.
     """
@@ -38,6 +40,11 @@ class ExactModel:
         if self.start not in self.depths:
             raise L2SError(f"start state {self.start} has no depth")
         self.horizon = max(self.depths.values())
+        for s in self.losses:
+            if self.depths.get(s) != self.horizon:
+                raise L2SError(f"loss on state {s} at depth "
+                               f"{self.depths.get(s)}, not the horizon "
+                               f"{self.horizon}")
         self._signature = {}
         self.signature_state = {}
         for s in sorted(self.depths, key=lambda s: (self.depths[s], s)):
@@ -227,9 +234,6 @@ class ExactModelTask(SearchTask):
 
     def start_state(self):
         return StateRef(0, self.model.start)
-
-    def action_count(self, state):
-        return len(self.model.edges.get(state.payload, ()))
 
     def transition(self, state, action):
         edges = self.model.edges[state.payload]

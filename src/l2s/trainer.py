@@ -262,7 +262,7 @@ class Trainer:
         diag_actions, diag_costs = [], []
         for s_t, feats in zip(states, features):
             losses = []
-            for a in range(task.action_count(s_t)):
+            for a in range(len(feats)):
                 end, _ = complete_deviation(task, s_t, a, self.plan, reference,
                                             learned, self.mixture_rng)
                 losses.append(core.end_loss(task, end))

@@ -39,7 +39,9 @@ def test_always_explore_grows_pool():
     state, outcomes = run_steps(state, task, ref, 20)
     assert all(o.mode == "explored" for o in outcomes)
     assert state.n_explore == 20
-    assert len(state.explored_policies) == state.n_explore + 1
+    assert len(state.explored_policies) == 21
+    with pytest.raises(AttributeError):  # read from the pool, not set
+        state.n_explore = 0
     for o in outcomes:
         rec = o.exploration_record
         assert rec is not None
@@ -65,10 +67,11 @@ def test_explore_rounds_match_exploration_step():
             state, task, oracle, task.reference_policy("bad", seed=seed))
         assert out.mode == "explored"
         explore_rng.random()  # the epsilon coin bandit_step draws first
-        _, end, record = bandit.exploration_step(
+        features, end, record = bandit.exploration_step(
             task, latest, task.reference_policy("bad", seed=seed), oracle,
             explore_rng, mixture_rng, plan)
         assert record == out.exploration_record
+        assert len(features) == record["k"]
         assert task.decode(end) == out.prediction
         assert 0.0 <= record["loss"] <= 1.0
         kinds.add(record["rollout"])

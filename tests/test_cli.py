@@ -88,10 +88,11 @@ def test_same_config_byte_identical_models(runner, tmp_path):
 
 
 def test_config_file_with_flag_override(runner, tmp_path):
-    data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
+    # a '#' inside a value is kept; one after whitespace starts a comment
+    data = gen(runner, tmp_path, "multiclass", 10, "run#1.csv")
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text(f"task = multiclass\ndata = {data}\npasses = 1\n"
-                       "# comment\nseed = 2\n")
+    cfgfile.write_text(f"task = multiclass\ndata = {data}\n"
+                       "passes = 1  # one pass\n# comment\nseed = 2\n")
     model = tmp_path / "m.model"
     r = runner.invoke(cli.main, ["train", "--config", str(cfgfile),
                                  "--passes", "0", "--out", str(model)])

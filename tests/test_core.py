@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from l2s import core, theory
-from l2s.errors import (
-    EmptyActionSet,
-    HorizonExceeded,
-    NoLegalAction,
-    NotTerminal,
-)
+from l2s.errors import EmptyActionSet, HorizonExceeded, NotTerminal
 from l2s.sparse import ActionFeatures, SparseFeatures, hash_index
 from l2s.tasks import (
     LabelTreeTask,
@@ -69,13 +64,6 @@ def test_execute_past_horizon():
         core.execute(task, pol, task.start_state(), task.horizon + 1)
 
 
-def test_terminal_state_has_no_actions():
-    task = tiny_task()
-    pol = core.LinearPolicy(np.zeros(task.dimension))
-    end = core.execute(task, pol, task.start_state(), task.horizon)
-    assert task.action_count(end) == 0
-
-
 def test_end_loss_requires_terminal():
     task = tiny_task()
     with pytest.raises(NotTerminal):
@@ -83,13 +71,16 @@ def test_end_loss_requires_terminal():
 
 
 def test_no_legal_action_error():
+    # features with no block below the horizon: execute checks no step,
+    # and the policy's argmin over no action is the error
     class Stuck(SequenceTask):
-        def action_count(self, state):
-            return 0
+        def action_features(self, state):
+            return ActionFeatures(SparseFeatures((), self.base), (),
+                                  self.dimension)
 
     task = Stuck(["aa"], [0], tag_count=2)
     pol = core.LinearPolicy(np.zeros(task.dimension))
-    with pytest.raises(NoLegalAction):
+    with pytest.raises(EmptyActionSet):
         core.execute(task, pol, task.start_state(), 1)
 
 
@@ -131,7 +122,7 @@ def visited_states(kind, seed):
             trainer.process_example(task)
         del task.transition
         out.append((task, trainer.learner.weights.copy(),
-                    [s for s in states if task.action_count(s)]))
+                    [s for s in states if s.depth < task.horizon]))
     return out
 
 

@@ -102,13 +102,13 @@ def replay_sequence(task, state, quality, g):
 
 
 def replay_parse(task, state, quality, g):
-    n = task.action_count(state)
+    legal = task.legal_actions(state)
     if quality == "suboptimal":
-        legal = task.legal_actions(state)
-        zero = [i for i in range(n) if task.action_cost(state.payload, legal[i]) == 0]
+        zero = [i for i, a in enumerate(legal)
+                if task.action_cost(state.payload, a) == 0]
         if len(zero) == 1:
             return zero[0]
-    return int(g.integers(n))
+    return int(g.integers(len(legal)))
 
 
 def replay_tree(task, state, quality, g):

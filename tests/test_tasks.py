@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from l2s import core, rng
+from l2s import core, rng, theory
 from l2s.errors import DataFormatError, NotTerminal
 from l2s.tasks import (
     LabelTreeTask,
@@ -21,16 +21,32 @@ from l2s.tasks import (
     write_multiclass,
     write_sentences,
 )
+from l2s.theory.exact import ExactModelTask
 
 
 # -- enumeration oracles (independent of the reference implementations) --
+
+def action_count(task, state):
+    """The live actions at `state` by the task's own rule, 0 at the
+    horizon; not read from the action features under test."""
+    if state.depth == task.horizon:
+        return 0
+    if isinstance(task, SequenceTask):
+        return task.tag_count
+    if isinstance(task, ParseTask):
+        return len(task.legal_actions(state))
+    if isinstance(task, LabelTreeTask):
+        lo, hi = state.payload
+        return 2 if lo < hi else 1  # the node's width
+    return len(task.model.edges[state.payload])
+
 
 def all_end_states(task, state):
     """Every end state reachable from `state`, by brute-force expansion."""
     if state.depth == task.horizon:
         return [state]
     out = []
-    for a in range(task.action_count(state)):
+    for a in range(action_count(task, state)):
         out.extend(all_end_states(task, task.transition(state, a)))
     return out
 
@@ -45,7 +61,7 @@ def all_reachable_states(task):
     while frontier:
         s = frontier.pop()
         seen.append(s)
-        for a in range(task.action_count(s)):
+        for a in range(action_count(task, s)):
             frontier.append(task.transition(s, a))
     return seen
 
@@ -62,13 +78,43 @@ def assert_reference_is_optimal(task, seed=0):
             min_reachable_loss(task, s)), f"suboptimal at {s}"
 
 
+def small_tasks(kind):
+    """Small instances of one task kind, enumerable state by state."""
+    if kind == "sequence":
+        return [SequenceTask(toks, tags, 3) for toks, tags in
+                gen_sequences(3, seed=1, tag_count=3, min_len=2, max_len=4)]
+    if kind == "parse":
+        return [ParseTask(toks, heads)
+                for toks, heads in gen_trees(6, seed=1, min_len=1, max_len=5)]
+    if kind == "labeltree":
+        return [LabelTreeTask([(0, 1.0)], np.zeros(k), k)
+                for k in (2, 3, 5, 8)]
+    return [ExactModelTask(m) for m in
+            [theory.two_level_chooser(), theory.shared_feature_chooser()]
+            + theory.random_models(1, 4)]
+
+
+@pytest.mark.parametrize("kind", ["sequence", "parse", "labeltree", "exact"])
+def test_every_state_below_the_horizon_has_an_action(kind):
+    # the action features' blocks are the actions, and core.execute
+    # checks no step for them: none may be empty below the horizon
+    for task in small_tasks(kind):
+        below = [s for s in all_reachable_states(task)
+                 if s.depth < task.horizon]
+        assert below
+        for s in below:
+            k = len(task.action_features(s))
+            assert k >= 1
+            assert k == action_count(task, s), s
+
+
 # -- sequence tagging --
 
 def test_sequence_shapes_and_loss():
     task = SequenceTask(["aa", "bb", "cc"], [0, 1, 2], tag_count=3)
     assert task.horizon == 3
     s = task.start_state()
-    assert task.action_count(s) == 3
+    assert action_count(task, s) == 3
     feats = task.action_features(s)
     assert len(feats) == 3
     end = core.StateRef(3, (0, 1, 0))
@@ -133,7 +179,7 @@ def test_hamming_cost_vectors_ignore_rollout_policy():
         vectors = []
         for pol in rollouts:
             losses = []
-            for a in range(task.action_count(s)):
+            for a in range(action_count(task, s)):
                 end = core.execute(task, pol, task.transition(s, a),
                                    task.horizon - s.depth - 1)
                 losses.append(task.terminal_loss(end))
@@ -163,7 +209,7 @@ def test_tree_walk_reaches_declared_leaf():
             task = LabelTreeTask([(0, 1.0)], costs, k)
             s = task.start_state()
             for branch in leaf_path(k, label):
-                s = task.transition(s, branch if task.action_count(s) == 2
+                s = task.transition(s, branch if action_count(task, s) == 2
                                     else 0)
             assert s.payload == (label, label)
             assert s.depth == task.horizon
@@ -213,7 +259,7 @@ def test_parse_trajectory_length_and_legality():
         assert task.horizon == 2 * n - 1
         for s in all_reachable_states(task):
             if s.depth < task.horizon:
-                assert task.action_count(s) >= 1
+                assert action_count(task, s) >= 1
             stack, buf, hd = s.payload
             assert len([h for h in hd if h != -1]) + len(stack) + \
                 (n - buf + 1) == n

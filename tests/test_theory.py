@@ -38,18 +38,28 @@ from l2s.trainer import RolloutPlan
 
 # -- model construction --
 
-@pytest.mark.parametrize("start,edges,message", [
-    ("x", {"s": [("a", "m")], "m": [("b", "e")]}, "start state x has no depth"),
-    ("s", {"s": [("a", "m")]}, "non-terminal state m has no actions"),
-    ("s", {"s": [("a", "e")], "m": [("b", "e")]},
+CHAIN = {"s": [("a", "m")], "m": [("b", "e")]}
+
+
+@pytest.mark.parametrize("start,edges,losses,message", [
+    ("x", CHAIN, {"e": 0.0}, "start state x has no depth"),
+    ("s", {"s": [("a", "m")]}, {"e": 0.0},
+     "non-terminal state m has no actions"),
+    ("s", {"s": [("a", "e")], "m": [("b", "e")]}, {"e": 0.0},
      "edge s->e does not lead one depth down"),
-    ("s", {"s": [("a", "m")], "m": [("b", "x")]},
+    ("s", {"s": [("a", "m")], "m": [("b", "x")]}, {"e": 0.0},
      "edge m->x does not lead one depth down"),
-], ids=["no-start", "no-actions", "skips-depth", "unlisted-state"])
-def test_invalid_model_rejected_when_built(start, edges, message):
+    # exact_J would stop at m while a trajectory walks on past it
+    ("s", CHAIN, {"m": 1.0, "e": 0.0},
+     "loss on state m at depth 1, not the horizon 2"),
+    ("s", CHAIN, {"e": 0.0, "x": 1.0},
+     "loss on state x at depth None, not the horizon 2"),
+], ids=["no-start", "no-actions", "skips-depth", "unlisted-state",
+        "loss-above-horizon", "loss-on-unlisted-state"])
+def test_invalid_model_rejected_when_built(start, edges, losses, message):
     with pytest.raises(L2SError, match=message):
         ExactModel(depths={"s": 0, "m": 1, "e": 2}, edges=edges,
-                   losses={"e": 0.0}, start=start)
+                   losses=losses, start=start)
 
 
 def test_model_indexed_when_built():
