@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
-from .errors import BadConfig, LossOutOfRange
+from .errors import L2SError
 from .theory import exact as ex
 from .trainer import AveragedPolicy, PolicyPool, RolloutPlan, complete_deviation
 
@@ -33,7 +33,7 @@ class BanditState:
 
     def __init__(self, dimension, epsilon=0.1, beta=0.5, seed=0, eta0=0.5):
         if not 0.0 <= epsilon <= 1.0:
-            raise BadConfig(f"epsilon {epsilon} outside [0, 1]")
+            raise L2SError(f"epsilon {epsilon} outside [0, 1]")
         self.epsilon = epsilon
         self.learner = CostSensitiveLearner(dimension, eta0)
         # the initial policy, then one snapshot per explore round
@@ -76,7 +76,7 @@ def bandit_step(state, task, loss_oracle, reference):
 def _checked_loss(loss_oracle, end_state):
     loss = float(loss_oracle(end_state))
     if not 0.0 <= loss <= 1.0:
-        raise LossOutOfRange(f"oracle returned {loss}")
+        raise L2SError(f"oracle returned {loss}")
     return loss
 
 
@@ -130,7 +130,7 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
     rounds are identically distributed.
     """
     if trials < 2:
-        raise BadConfig(f"trials {trials} must be at least 2")
+        raise L2SError(f"trials {trials} must be at least 2")
     task = ex.ExactModelTask(model)
     ref_exact = ex.reference_policy(model)
     latest_exact = task.learned_slot_policy(latest_weights)

@@ -2,7 +2,9 @@
 roll-in x roll-out grid, bandit simulation, and the exact-check suites.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error, 3 failed
-exact-check suite.
+exact-check suite. `main` alone maps an outcome to its code, so the
+console script, `python -m l2s.cli`, click's test runner and
+`main(args, standalone_mode=False)` all end a run in the same code.
 """
 
 import dataclasses
@@ -16,8 +18,7 @@ import numpy as np
 from . import bandit as banditmod
 from . import core, experiment, rng, theory
 from .cslearn import CostSensitiveLearner
-from .errors import (BadConfig, CheckFailed, DataFormatError, L2SError,
-                     ModelTaskMismatch)
+from .errors import CheckFailed, DataFormatError, L2SError
 from .trainer import AveragedPolicy, PolicyPool, RolloutPlan
 from .tasks import (
     gen_multiclass,
@@ -47,41 +48,55 @@ READS = {
 def _config_and_data(command, config_path, overrides):
     """The resolved config from the config file and the flags (a flag
     overrides the file), and the dataset its `data` path names. A file key
-    that `command` does not read is a BadConfig."""
+    that `command` does not read is an L2SError."""
     mapping = experiment.read_config(config_path) if config_path else {}
     for key in mapping:
         if key not in READS[command]:
-            raise BadConfig(f"{command} does not read config key {key!r}; "
-                            f"it reads {', '.join(READS[command])}")
+            raise L2SError(f"{command} does not read config key {key!r}; "
+                           f"it reads {', '.join(READS[command])}")
     for key, value in overrides.items():
         if value is not None:
             mapping[key] = value
     cfg = experiment.build_config(mapping)
     if not cfg.data:
-        raise BadConfig("data path is required")
+        raise L2SError("data path is required")
     return cfg, experiment.load_dataset(cfg.task, cfg.data)
 
 
 def _at_least(low, **options):
-    """BadConfig for the first of `options` below `low`."""
+    """An L2SError for the first of `options` below `low`."""
     for name, value in options.items():
         if value < low:
-            raise BadConfig(f"--{name} {value} must be at least {low}")
+            raise L2SError(f"--{name} {value} must be at least {low}")
 
 
 class _ErrorBoundary(click.Group):
-    """Ends any subcommand's DataFormatError in exit code 2 and any other
-    L2SError or OSError in exit code 1."""
+    """The one map from a run's outcome to its exit code. It runs click
+    with `standalone_mode=False`, whatever the caller asks, and always
+    exits: 0 on success, 3 on a CheckFailed (its `[FAIL]` line goes to
+    stdout), 2 on a DataFormatError, 1 on any other L2SError, an OSError,
+    a usage error or an abort, and a ClickException's own code otherwise.
+    """
 
-    def invoke(self, ctx):
+    def main(self, *args, standalone_mode=True, **extra):
         try:
-            return super().invoke(ctx)
+            # an Exit's code (--help gives one) or a command's None
+            code = super().main(*args, standalone_mode=False, **extra)
+        except CheckFailed as exc:
+            click.echo(f"[FAIL] {exc}")
+            sys.exit(3)
         except DataFormatError as exc:
             click.echo(f"data error: {exc}", err=True)
             sys.exit(2)
         except (L2SError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
+        except click.Abort:
+            sys.exit(1)
+        except click.ClickException as exc:
+            exc.show()
+            sys.exit(1 if isinstance(exc, click.UsageError) else exc.exit_code)
+        sys.exit(code or 0)
 
 
 def config_options(command):
@@ -144,7 +159,7 @@ def train(config_path, out, history_out, diagnostics_out, **overrides):
 def eval_cmd(config_path, model_path, history_path, **overrides):
     """Evaluate a saved model on a dataset; prints the task metric."""
     if bool(model_path) == bool(history_path):
-        raise BadConfig("eval takes one of --model and --history")
+        raise L2SError("eval takes one of --model and --history")
     cfg, dataset = _config_and_data("eval", config_path, overrides)
     if history_path:
         # the trained snapshots: all but the untrained snapshot 0
@@ -172,8 +187,8 @@ def grid(config_path, out, **overrides):
         trained, held_out = (d.meta.get("label_count")
                              for d in (train_set, test_set))
         if trained != held_out:
-            raise ModelTaskMismatch(f"test data has {held_out} labels, "
-                                    f"training data {trained}")
+            raise L2SError(f"test data has {held_out} labels, "
+                           f"training data {trained}")
     else:
         train_set, test_set = experiment.split_dataset(dataset)
     report = experiment.run_grid(train_set, test_set, cfg)
@@ -248,9 +263,9 @@ def check():
 
 
 def _report(name, ok, detail):
-    click.echo(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     if not ok:
-        sys.exit(3)
+        raise CheckFailed(f"{name}: {detail}")
+    click.echo(f"[PASS] {name}: {detail}")
 
 
 @check.command()
@@ -322,12 +337,9 @@ def counterexamples(eps, rounds):
 def snake(horizon):
     """Exponential local-search lower bound via hypercube induced paths."""
     _at_least(1, horizon=horizon)
-    name = f"snake-T{horizon}"
-    try:
-        bits, updates = theory.snake_lower_bound(horizon)
-    except CheckFailed as exc:
-        _report(name, False, str(exc))
-    _report(name, True, f"{updates} updates along {'->'.join(bits)}")
+    bits, updates = theory.snake_lower_bound(horizon)
+    _report(f"snake-T{horizon}", True,
+            f"{updates} updates along {'->'.join(bits)}")
 
 
 @check.command()
@@ -373,20 +385,5 @@ def gen_data(kind, count, seed, out):
     click.echo(f"{count} {kind} instances -> {out}")
 
 
-def entry():
-    """Console entry point with the declared exit-code contract."""
-    try:
-        main(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
-    except (click.UsageError, click.Abort) as exc:
-        if isinstance(exc, click.UsageError):
-            exc.show()
-        sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-
-
 if __name__ == "__main__":
-    entry()
+    main()

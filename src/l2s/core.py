@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import BadConfig, EmptyActionSet, HorizonExceeded, NotTerminal
+from .errors import L2SError
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,15 @@ REFERENCE_QUALITIES = ("optimal", "suboptimal", "bad")
 
 class SeededReference(Policy):
     """A task's gold-derived reference of a quality and seed; subclasses
-    implement only `choose`. A quality outside REFERENCE_QUALITIES is a
-    BadConfig here, so `choose` never meets one. `generator`, the
+    implement only `choose`. A quality outside REFERENCE_QUALITIES is an
+    L2SError here, so `choose` never meets one. `generator`, the
     (seed, REFERENCE) substream, is built at the first draw, so a
     reference that never draws builds none, and a rebuilt reference
     restarts it."""
 
     def __init__(self, task, quality, seed):
         if quality not in REFERENCE_QUALITIES:
-            raise BadConfig(
+            raise L2SError(
                 f"reference quality {quality!r} is not one of "
                 f"{REFERENCE_QUALITIES}")
         self.task = task
@@ -107,7 +107,7 @@ class SeededReference(Policy):
 def act(policy, features):
     """Argmin of `features.scores(policy.weights)` (an ActionFeatures)."""
     if not features:
-        raise EmptyActionSet("no actions to choose from")
+        raise L2SError("no actions to choose from")
     return argmin(features.scores(policy.weights))
 
 
@@ -157,7 +157,7 @@ class LinearPolicy(Policy):
 def execute(task, policy, from_state, steps):
     """Run `policy` for exactly `steps` transitions and return the new state."""
     if from_state.depth + steps > task.horizon:
-        raise HorizonExceeded(
+        raise L2SError(
             f"{steps} steps from depth {from_state.depth} exceeds horizon {task.horizon}"
         )
     s = from_state
@@ -169,5 +169,5 @@ def execute(task, policy, from_state, steps):
 def end_loss(task, terminal):
     """Loss of an end state; errors on non-terminal states."""
     if terminal.depth < task.horizon:
-        raise NotTerminal(f"depth {terminal.depth} < horizon {task.horizon}")
+        raise L2SError(f"depth {terminal.depth} < horizon {task.horizon}")
     return task.terminal_loss(terminal)

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import sparse
 from .core import LinearPolicy, argmin
-from .errors import (
-    Diverged, DimensionMismatch, EmptyActionSet, NonFiniteCost, L2SError)
+from .errors import L2SError
 
 MAGIC = b"CSLEARN1"
 FORMAT_VERSION = 1
@@ -38,11 +37,11 @@ class CostSensitiveExample:
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
         if len(self.per_action_features) == 0:
-            raise EmptyActionSet("example with no actions")
+            raise L2SError("example with no actions")
         if len(self.per_action_features) != len(self.costs):
-            raise DimensionMismatch("feature list and cost vector lengths differ")
+            raise L2SError("feature list and cost vector lengths differ")
         if not all(map(math.isfinite, self.costs.tolist())):
-            raise NonFiniteCost(f"costs {self.costs}")
+            raise L2SError(f"costs {self.costs}")
 
 
 class CostSensitiveLearner:
@@ -83,7 +82,7 @@ class CostSensitiveLearner:
             written.add(b)
             g = 2.0 * lr * (wx - c)
             if not math.isfinite(g):
-                raise Diverged(f"update step {g} at learning rate {lr}")
+                raise L2SError(f"update step {g} at learning rate {lr}")
             for i, v in f.shared.pairs:
                 w[offset + i] -= g * v
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from . import core, rng
 from .core import REFERENCE_QUALITIES
-from .errors import BadConfig, DataFormatError, ModelTaskMismatch
+from .errors import DataFormatError, L2SError
 from .trainer import (
     ROLL_IN_CHOICES,
     ROLL_OUT_CHOICES,
@@ -58,16 +58,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.task not in TASK_KINDS:
-            raise BadConfig(f"task must be one of {TASK_KINDS}")
+            raise L2SError(f"task must be one of {TASK_KINDS}")
         if self.reference_quality not in REFERENCE_QUALITIES:
-            raise BadConfig(
+            raise L2SError(
                 f"reference_quality must be one of {REFERENCE_QUALITIES}")
         if not 0.0 < self.eta0 < math.inf:
-            raise BadConfig(f"eta0 {self.eta0} must be positive and finite")
+            raise L2SError(f"eta0 {self.eta0} must be positive and finite")
         for name in ("passes", "seed"):
             value = getattr(self, name)
             if value < 0:
-                raise BadConfig(f"{name} {value} must not be negative")
+                raise L2SError(f"{name} {value} must not be negative")
         # plan validation re-checks roll_in/roll_out/beta
         self.plan()
 
@@ -80,25 +80,25 @@ class ExperimentConfig:
 
 
 def read_config(path):
-    """Flat key=value file, blank lines ignored; a key given twice is a
-    BadConfig. A comment starts at a '#' that begins the line or follows
+    """Flat key=value file, blank lines ignored; a key given twice is an
+    L2SError. A comment starts at a '#' that begins the line or follows
     whitespace, so `data = run#1.csv` keeps its '#'."""
     out, line_of = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
-        raise BadConfig(f"{path} is not UTF-8 text: {exc}")
+        raise L2SError(f"{path} is not UTF-8 text: {exc}")
     for no, raw in enumerate(lines, 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise BadConfig(f"line {no}: expected key=value, got {line!r}")
+            raise L2SError(f"line {no}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         if key in out:
-            raise BadConfig(f"line {no}: key {key!r} repeats line "
-                            f"{line_of[key]}")
+            raise L2SError(f"line {no}: key {key!r} repeats line "
+                           f"{line_of[key]}")
         out[key], line_of[key] = value, no
     return out
 
@@ -109,13 +109,13 @@ def build_config(mapping):
     kwargs = {}
     for key, value in mapping.items():
         if key not in types:
-            raise BadConfig(f"unknown config key {key!r}")
+            raise L2SError(f"unknown config key {key!r}")
         if value is None:
             continue
         try:
             kwargs[key] = types[key](value)
         except ValueError:
-            raise BadConfig(f"bad value {value!r} for {key}")
+            raise L2SError(f"bad value {value!r} for {key}")
     return ExperimentConfig(**kwargs)
 
 
@@ -151,7 +151,7 @@ def load_dataset(kind, path):
             if gold is None:
                 raise DataFormatError(f"{path}: sentence {no} has no gold {what}")
     else:
-        raise BadConfig(f"unknown task kind {kind!r}")
+        raise L2SError(f"unknown task kind {kind!r}")
     if not records:
         raise DataFormatError(f"{path}: no instances")
     if kind == "multiclass":
@@ -256,7 +256,7 @@ def evaluate(dataset, policy):
     dataset = _for_model(dataset, model_dimension)
     dimension = task_dimension(dataset)
     if model_dimension != dimension:
-        raise ModelTaskMismatch(
+        raise L2SError(
             f"model dimension {model_dimension} != task {dimension}")
     total, weight = 0.0, 0
     for i in range(len(dataset.records)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import L2SError
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,11 @@ class SparseFeatures:
         last = -1
         for i, v in self.pairs:
             if not (last < i < self.dimension):
-                raise DimensionMismatch(
+                raise L2SError(
                     f"index {i} out of order or outside [0, {self.dimension})"
                 )
             if not math.isfinite(v):
-                raise DimensionMismatch(f"non-finite value at index {i}")
+                raise L2SError(f"non-finite value at index {i}")
             last = i
 
 
@@ -58,7 +58,7 @@ class ActionFeatures:
         """Predicted cost of every action as a list of Python floats, each
         summed left to right by `dot`."""
         if len(weights) != self.dimension:
-            raise DimensionMismatch(
+            raise L2SError(
                 f"feature dimension {self.dimension} != weights {len(weights)}")
         w = memoryview(np.asarray(weights, dtype=np.float64))
         base = self.shared.dimension
@@ -90,8 +90,8 @@ def dot(weights, features, offset=0):
     memoryview would wrap a negative index round to its end.
     """
     if not 0 <= offset <= len(weights) - features.dimension:
-        raise DimensionMismatch(f"features at {offset} + [0, {features.dimension})"
-                                f" outside weights {len(weights)}")
+        raise L2SError(f"features at {offset} + [0, {features.dimension})"
+                       f" outside weights {len(weights)}")
     total = 0
     for i, v in features.pairs:
         total += weights[offset + i] * v

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from ..core import SearchTask, SeededReference, StateRef, argmin
-from ..errors import NotTerminal
+from ..errors import L2SError
 from ..sparse import ActionFeatures, from_pairs, hash_index
 
 BASE_BITS = 14
@@ -46,7 +46,7 @@ class LabelTreeTask(SearchTask):
 
     def __init__(self, features, costs, label_count):
         if label_count < 2:
-            raise ValueError("need at least 2 labels")
+            raise L2SError("need at least 2 labels")
         self.example_features = list(features)  # (index, value) pairs
         self.costs = np.asarray(costs, dtype=np.float64)
         self.k = label_count
@@ -80,7 +80,7 @@ class LabelTreeTask(SearchTask):
     def terminal_loss(self, state):
         lo, hi = state.payload
         if lo != hi:
-            raise NotTerminal(f"node {lo}..{hi} is not a leaf")
+            raise L2SError(f"node {lo}..{hi} is not a leaf")
         return float(self.costs[lo])
 
     def decode(self, state):

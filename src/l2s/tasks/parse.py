@@ -13,6 +13,7 @@ the gold arcs an action makes unreachable (see its docstring).
 """
 
 from ..core import SearchTask, SeededReference, StateRef, argmin
+from ..errors import L2SError
 from ..sparse import ActionFeatures, SparseFeatures, hash_index
 
 SHIFT, REDUCE_LEFT, REDUCE_RIGHT = 0, 1, 2
@@ -30,7 +31,7 @@ class ParseTask(SearchTask):
         self.tokens = list(tokens)
         self.n = len(self.tokens)
         if self.n < 1:
-            raise ValueError("empty sentence")
+            raise L2SError("empty sentence")
         self.gold_heads = list(gold_heads)
         self.base = 1 << BASE_BITS
         self.horizon = 2 * self.n - 1
@@ -53,7 +54,10 @@ class ParseTask(SearchTask):
 
     def transition(self, state, action):
         stack, buf, heads = state.payload
-        act = self.legal_actions(state)[action]
+        # the slot of `action` in legal_actions(state), in closed form:
+        # with a buffer the slots are the transition ids themselves, and
+        # without one the only slot is REDUCE_RIGHT
+        act = action if buf <= self.n else REDUCE_RIGHT
         heads = list(heads)
         if act == SHIFT:
             stack = stack + (buf,)

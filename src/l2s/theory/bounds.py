@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .. import rng as rngmod
 from ..trainer import Trainer
-from ..errors import TraceIncomplete
+from ..errors import L2SError
 from .exact import (
     ExactModel,
     ExactModelTask,
@@ -101,7 +101,7 @@ def check_regret_bound(model, ref, trace, beta):
     every mixture expectation decomposes into per-round terms.
     """
     if not trace:
-        raise TraceIncomplete("empty training trace")
+        raise L2SError("empty training trace")
     N = len(trace)
     T = model.horizon
     J_ref = exact_J(model, ref)

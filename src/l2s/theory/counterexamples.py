@@ -9,7 +9,7 @@ one-step deviation is radically better.
 
 from dataclasses import dataclass
 
-from ..errors import BadConfig
+from ..errors import L2SError
 from ..trainer import RolloutPlan
 from .bounds import run_training
 from .exact import (
@@ -98,7 +98,7 @@ def reference_rollout_failure(model, rounds=500):
     the contrast run with a mixture roll-out.
     """
     if rounds < 1:
-        raise BadConfig(f"rounds {rounds} must be at least 1")
+        raise L2SError(f"rounds {rounds} must be at least 1")
     plan = RolloutPlan(roll_in="learned", roll_out="reference",
                        seed=ROLLOUT_SEED)
     _, _, trace, _ = run_training(model, plan, rounds)

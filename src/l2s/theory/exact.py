@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from ..core import SearchTask, StateRef, Policy, argmin
-from ..errors import IllegalAction, L2SError
+from ..errors import L2SError
 from ..sparse import ActionFeatures, SparseFeatures
 
 
@@ -99,7 +99,7 @@ class TablePolicy(ExactPolicy):
         label = self.choices[sig]
         slots = [i for i, l in enumerate(sig) if l == label]
         if not slots:
-            raise IllegalAction(f"label {label!r} not available in {sig}")
+            raise L2SError(f"label {label!r} not available in {sig}")
         p = 1.0 / len(slots)
         return [(i, p) for i in slots]
 
@@ -198,9 +198,9 @@ def exact_J(model, policy):
 def exact_Q(model, policy, state, slot):
     """Expected loss of taking `slot` at `state`, then following `policy`."""
     if model.is_terminal(state):
-        raise IllegalAction(f"{state} is terminal")
+        raise L2SError(f"{state} is terminal")
     if not 0 <= slot < len(model.edges[state]):
-        raise IllegalAction(f"slot {slot} not legal at {state}")
+        raise L2SError(f"slot {slot} not legal at {state}")
     _, succ = model.edges[state][slot]
     return _expected_loss_from(model, policy, succ)
 
@@ -238,7 +238,7 @@ class ExactModelTask(SearchTask):
     def transition(self, state, action):
         edges = self.model.edges[state.payload]
         if not 0 <= action < len(edges):
-            raise IllegalAction(f"slot {action} at {state.payload}")
+            raise L2SError(f"slot {action} at {state.payload}")
         return StateRef(state.depth + 1, edges[action][1])
 
     def feature_key(self, state):

@@ -7,7 +7,7 @@ hypercube (and is maximal elsewhere) forces best-neighbor descent to walk
 the whole path, so local optimality can take Theta(2^T) updates.
 """
 
-from ..errors import CheckFailed, TooLarge
+from ..errors import CheckFailed, L2SError
 
 # on a 2-core machine the search takes ~3 s at dimension 6 and did not
 # finish in 240 s at 7
@@ -46,7 +46,7 @@ def longest_snake(dim):
     unless its count exceeds the 1 the last vertex gives it.
     """
     if dim > MAX_DIMENSION:
-        raise TooLarge(f"dimension {dim} > {MAX_DIMENSION}")
+        raise L2SError(f"dimension {dim} > {MAX_DIMENSION}")
     if dim == 0:
         return [0]
     around = [neighbors(v, dim) for v in range(1 << dim)]
@@ -89,7 +89,7 @@ def longest_snake_bruteforce(dim):
     because the hypercube is vertex-transitive).
     """
     if dim > 5:
-        raise TooLarge("brute-force oracle limited to dimension 5")
+        raise L2SError("brute-force oracle limited to dimension 5")
     best = []
 
     def extend(path, on_path):
@@ -141,14 +141,15 @@ def snake_lower_bound(dim):
 
     Returns (traversal as bit strings, update count); the update count
     equals the snake's edge count. A descent that does not walk the whole
-    snake is a CheckFailed.
+    snake is a CheckFailed named `snake-T{dim}`, the check's name.
     """
     snake = longest_snake(dim)
     costs = snake_costs(snake, dim)
     traversal = best_neighbor_descent(costs, snake[0], dim)
     bits = [format(v, f"0{dim}b") for v in traversal]
     if traversal != snake:
-        raise CheckFailed(f"descent took {len(traversal) - 1} updates along "
+        raise CheckFailed(f"snake-T{dim}: descent took "
+                          f"{len(traversal) - 1} updates along "
                           f"{'->'.join(bits)}, not the snake's "
                           f"{len(snake) - 1}")
     return bits, len(traversal) - 1

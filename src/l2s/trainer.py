@@ -17,8 +17,7 @@ import numpy as np
 
 from . import core, rng
 from .cslearn import CostSensitiveExample, CostSensitiveLearner
-from .errors import (BadConfig, DimensionMismatch, L2SError, NonFiniteCost,
-                     NoPolicies)
+from .errors import L2SError
 
 ROLL_IN_CHOICES = ("reference", "learned")
 ROLL_OUT_CHOICES = ("reference", "learned", "mixture")
@@ -39,11 +38,11 @@ class RolloutPlan:
 
     def __post_init__(self):
         if self.roll_in not in ROLL_IN_CHOICES:
-            raise BadConfig(f"roll_in must be one of {ROLL_IN_CHOICES}")
+            raise L2SError(f"roll_in must be one of {ROLL_IN_CHOICES}")
         if self.roll_out not in ROLL_OUT_CHOICES:
-            raise BadConfig(f"roll_out must be one of {ROLL_OUT_CHOICES}")
+            raise L2SError(f"roll_out must be one of {ROLL_OUT_CHOICES}")
         if not 0.0 <= self.beta <= 1.0:
-            raise BadConfig(f"beta {self.beta} outside [0, 1]")
+            raise L2SError(f"beta {self.beta} outside [0, 1]")
 
 
 def extract_costs(rollout_losses):
@@ -54,9 +53,9 @@ def extract_costs(rollout_losses):
     """
     losses = [float(x) for x in rollout_losses]
     if not losses:
-        raise NonFiniteCost("empty loss vector")
+        raise L2SError("empty loss vector")
     if not all(map(math.isfinite, losses)):
-        raise NonFiniteCost(f"losses {np.array(losses)}")
+        raise L2SError(f"losses {np.array(losses)}")
     low = min(losses)
     if low == 0.0 and any(math.copysign(1.0, x) < 0.0
                           for x in losses if x == 0.0):
@@ -115,7 +114,7 @@ class PolicyPool:
 
     def append(self, weights, written):
         if len(weights) != self.dimension:
-            raise DimensionMismatch(
+            raise L2SError(
                 f"weights {len(weights)} != pool dimension {self.dimension}")
         idx = np.unique(np.asarray(written, dtype=np.intp))
         n = len(self._entries)
@@ -123,7 +122,7 @@ class PolicyPool:
             idx = np.unique(np.concatenate(
                 [e[0] for e in self._entries[n - CHECKPOINT_EVERY:]] + [idx]))
         if len(idx) and not 0 <= idx[0] <= idx[-1] < self.dimension:
-            raise DimensionMismatch(f"written indices outside [0, {self.dimension})")
+            raise L2SError(f"written indices outside [0, {self.dimension})")
         self._entries.append((idx, weights[idx]))
 
     def rebuild(self, i):
@@ -303,8 +302,8 @@ class AveragedPolicy:
 
     def __init__(self, pool, generator, first=0):
         if len(pool) <= first:
-            raise NoPolicies(f"no snapshot from {first} in a pool of "
-                             f"{len(pool)}")
+            raise L2SError(f"no snapshot from {first} in a pool of "
+                           f"{len(pool)}")
         self.pool = pool
         self.generator = generator
         self.first = first

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from l2s import bandit, core, rng
-from l2s.errors import LossOutOfRange
+from l2s.errors import L2SError
 from l2s.theory import shared_feature_chooser, two_level_chooser
 from l2s.tasks import SequenceTask, gen_sequences
 from l2s.theory.exact import ExactModelTask
@@ -135,7 +135,7 @@ def test_zero_loss_leaves_zero_weights_unchanged():
 def test_loss_range_enforced_not_clamped():
     task = ExactModelTask(two_level_chooser())  # losses up to 100
     state = bandit.BanditState(task.dimension, epsilon=1.0, seed=4)
-    with pytest.raises(LossOutOfRange):
+    with pytest.raises(L2SError, match="oracle returned"):
         # keep stepping until a rollout hits a loss > 1
         run_steps(state, task, task.reference_policy(), 50)
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from l2s import bandit as banditmod
 from l2s import cli, theory
-from l2s.errors import BadConfig
+from l2s.errors import L2SError
 from l2s.experiment import ExperimentConfig, build_config
 from l2s.trainer import PolicyPool
 from l2s.theory import snake
@@ -102,8 +102,7 @@ def test_config_file_with_flag_override(runner, tmp_path):
 
 
 def test_console_entry_exit_codes(tmp_path):
-    # `python -m l2s.cli` runs cli.entry(), the console script, which the
-    # CliRunner tests call around: it ends click's usage errors in exit 1
+    # `python -m l2s.cli` runs cli.main, as the console script does
     bad = tmp_path / "bad.tsv"
     bad.write_text("a\tx\n\n")
     train = ["train", "--task", "sequence", "--data", str(bad)]
@@ -137,7 +136,7 @@ def test_bad_config_key_exits_one(runner, tmp_path):
         assert r.exit_code == 1
         assert key in r.output
         # library callers build the config without the CLI's read sets
-        with pytest.raises(BadConfig, match=f"unknown config key '{key}'"):
+        with pytest.raises(L2SError, match=f"unknown config key '{key}'"):
             build_config({key: value})
     # a key given twice names both lines, whichever value would win
     r = train_with("task = sequence\n# comment\n\ntask = parse\n")
@@ -242,7 +241,7 @@ def test_bandit_rejects_gold_reading_reference(runner, tmp_path, source):
     for quality in ("optimal", "suboptimal", "bad"):
         if source == "flag":
             r = runner.invoke(cli.main, args + ["--reference-quality", quality])
-            assert_clean_exit(r, 2)  # click's usage error; cli.entry ends it in 1
+            assert_clean_exit(r, 1)  # a usage error
             assert "No such option '--reference-quality'" in r.output
         else:
             cfgfile = tmp_path / "bandit.cfg"
@@ -355,10 +354,52 @@ def test_check_suites_pass(runner):
     assert r.exit_code == 0, r.output
 
 
-def test_failed_check_exits_three():
+def test_failed_check_exits_three(capsys):
+    # one round does not train the roll-out demo's learner away from the
+    # reference, so its verdict is false
     with pytest.raises(SystemExit) as e:
-        cli._report("demo", False, "forced failure")
+        cli.main(["check", "counterexamples", "--rounds", "1"],
+                 standalone_mode=False)
     assert e.value.code == 3
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "[FAIL] reference-rollout-failure: ")
+
+
+def test_usage_error_exits_one_in_process(tmp_path):
+    # the call the benchmark's theory-checks workload makes
+    with pytest.raises(SystemExit) as e:
+        cli.main(["gen-data", "--task", "nope", "--out", str(tmp_path / "x")],
+                 standalone_mode=False)
+    assert e.value.code == 1
+
+
+@pytest.mark.parametrize("outcome,code", [
+    ("pass", 0), ("usage", 1), ("data", 2), ("fail", 3)])
+def test_each_outcome_exits_alike_from_every_entry_point(
+        tmp_path, capsys, outcome, code):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("token-without-columns\n")
+    args = {
+        "pass": ["check", "snake", "-T", "3"],
+        "usage": ["gen-data", "--task", "nope", "--out", str(tmp_path / "x")],
+        "data": ["train", "--task", "sequence", "--data", str(bad),
+                 "--out", str(tmp_path / "m")],
+        "fail": ["check", "counterexamples", "--rounds", "1"],
+    }[outcome]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "l2s.cli", *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, (proc.stdout, proc.stderr)
+    assert "Traceback" not in proc.stderr
+    r = CliRunner().invoke(cli.main, args)
+    assert_clean_exit(r, code)
+    assert r.stdout == proc.stdout
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        cli.main(args, standalone_mode=False)
+    assert e.value.code == code
+    assert capsys.readouterr().out == proc.stdout
 
 
 # per check suite: its arguments, and a theory call patched so that the

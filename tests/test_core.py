@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from l2s import core, theory
-from l2s.errors import EmptyActionSet, HorizonExceeded, NotTerminal
+from l2s.errors import L2SError
 from l2s.sparse import ActionFeatures, SparseFeatures, hash_index
 from l2s.tasks import (
     LabelTreeTask,
@@ -45,7 +45,7 @@ def test_tie_breaks():
 
 
 def test_act_empty_action_set():
-    with pytest.raises(EmptyActionSet):
+    with pytest.raises(L2SError, match="no actions to choose from"):
         core.act(core.LinearPolicy(np.zeros(1)), [])
 
 
@@ -60,13 +60,13 @@ def test_execute_counts_steps():
 def test_execute_past_horizon():
     task = tiny_task()
     pol = core.LinearPolicy(np.zeros(task.dimension))
-    with pytest.raises(HorizonExceeded):
+    with pytest.raises(L2SError, match="exceeds horizon"):
         core.execute(task, pol, task.start_state(), task.horizon + 1)
 
 
 def test_end_loss_requires_terminal():
     task = tiny_task()
-    with pytest.raises(NotTerminal):
+    with pytest.raises(L2SError, match="depth 0 < horizon"):
         core.end_loss(task, task.start_state())
 
 
@@ -80,7 +80,7 @@ def test_no_legal_action_error():
 
     task = Stuck(["aa"], [0], tag_count=2)
     pol = core.LinearPolicy(np.zeros(task.dimension))
-    with pytest.raises(EmptyActionSet):
+    with pytest.raises(L2SError, match="no actions to choose from"):
         core.execute(task, pol, task.start_state(), 1)
 
 

@@ -4,7 +4,7 @@ and which choices they draw from it."""
 import pytest
 
 from l2s import rng
-from l2s.errors import BadConfig
+from l2s.errors import L2SError
 from l2s.tasks import (
     LabelTreeTask,
     ParseTask,
@@ -70,7 +70,8 @@ def test_building_a_reference_builds_no_stream(built, kind):
 @pytest.mark.parametrize("kind", sorted(TASKS))
 def test_unknown_quality_is_rejected_when_the_reference_is_built(kind):
     task = TASKS[kind](1)[0]
-    with pytest.raises(BadConfig, match="nope"):
+    with pytest.raises(L2SError,
+                       match="reference quality 'nope' is not one of"):
         task.reference_policy("nope")
 
 

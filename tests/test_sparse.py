@@ -5,7 +5,7 @@ import pytest
 
 from l2s import core, theory
 from l2s.cslearn import CostSensitiveExample, CostSensitiveLearner
-from l2s.errors import DimensionMismatch
+from l2s.errors import L2SError
 from l2s.sparse import ActionFeatures, SparseFeatures
 from l2s.tasks import LabelTreeTask, ParseTask, SequenceTask
 from l2s.theory.exact import ExactModelTask
@@ -130,12 +130,13 @@ def test_weights_of_another_length_raise(delta):
     g = np.random.default_rng(3)
     for f in task_features() + [random_features(g) for _ in range(20)]:
         w = np.zeros(f.dimension + delta)
-        with pytest.raises(DimensionMismatch):
+        mismatch = f"feature dimension {f.dimension} != weights {len(w)}"
+        with pytest.raises(L2SError, match=mismatch):
             f.scores(w)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(L2SError, match=mismatch):
             core.act(core.LinearPolicy(w), f)
         learner = CostSensitiveLearner(f.dimension + delta)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(L2SError, match=mismatch):
             learner.update(CostSensitiveExample(f, np.zeros(len(f))))
         assert not learner.weights.any()
 
@@ -143,13 +144,14 @@ def test_weights_of_another_length_raise(delta):
 @pytest.mark.parametrize("blocks", [(0, 2), (-1,)])
 def test_blocks_outside_the_dimension_raise(blocks):
     f = ActionFeatures(SparseFeatures(((0, 1.0), (3, 1.0)), 4), blocks, 8)
-    with pytest.raises(DimensionMismatch):
+    outside = r"features at -?\d+ \+ \[0, 4\) outside weights 8"
+    with pytest.raises(L2SError, match=outside):
         f.scores(np.zeros(8))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(L2SError, match=outside):
         CostSensitiveLearner(8).update(CostSensitiveExample(f, np.zeros(len(f))))
     # nonzero costs would move any weight an out-of-range block reached
     learner = CostSensitiveLearner(8)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(L2SError, match=outside):
         learner.update(CostSensitiveExample(f, np.ones(len(f))))
     assert not learner.weights.any()
 
@@ -164,5 +166,6 @@ def test_blocks_outside_the_dimension_raise(blocks):
 ], ids=["out-of-order", "repeated", "index-at-dimension", "negative",
         "nan", "inf"])
 def test_sparse_features_refuse_bad_pairs(pairs):
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(L2SError, match=r"out of order or outside \[0, 4\)"
+                                       "|non-finite value at index 1"):
         SparseFeatures(pairs, 4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from l2s import core, rng, theory
-from l2s.errors import DataFormatError, NotTerminal
+from l2s.errors import DataFormatError, L2SError
 from l2s.tasks import (
     LabelTreeTask,
     ParseTask,
@@ -246,7 +246,7 @@ def test_tree_loss_bounds():
 
 def test_tree_loss_of_an_inner_node_is_not_terminal():
     task = LabelTreeTask([(0, 1.0)], [0.2, 0.9, 0.4, 0.6], 4)
-    with pytest.raises(NotTerminal):
+    with pytest.raises(L2SError, match=r"node 0\.\.3 is not a leaf"):
         task.terminal_loss(task.start_state())
 
 
@@ -324,6 +324,43 @@ def test_parse_suboptimal_draws_when_zero_cost_is_not_unique():
         picks.append(sub.choose(task, s))
         assert picks[-1] == want
     assert set(picks) == {0, 1}
+
+
+def test_parse_transition_takes_the_slots_legal_action():
+    # transition maps a slot to its transition id in closed form; check it
+    # against legal_actions and the arc-hybrid rules on every reachable
+    # (state, slot) pair of 40 sentences
+    def arc_hybrid(payload, act):
+        stack, buf, heads = payload
+        if act == 0:  # Shift
+            return stack + (buf,), buf + 1, heads
+        heads = list(heads)
+        heads[stack[-1] - 1] = buf if act == 1 else stack[-2]
+        return stack[:-1], buf, tuple(heads)
+
+    pairs = 0
+    for tokens, heads in gen_trees(40, 3, min_len=1, max_len=6):
+        task = ParseTask(tokens, heads)
+        frontier, seen = [task.start_state()], set()
+        while frontier:
+            s = frontier.pop()
+            if s in seen or s.depth == task.horizon:
+                continue
+            seen.add(s)
+            for slot, act in enumerate(task.legal_actions(s)):
+                nxt = task.transition(s, slot)
+                assert nxt == core.StateRef(s.depth + 1,
+                                            arc_hybrid(s.payload, act))
+                frontier.append(nxt)
+                pairs += 1
+    assert pairs == 22950
+
+
+def test_degenerate_task_sizes_raise_l2s_error():
+    with pytest.raises(L2SError, match="empty sentence"):
+        ParseTask([], [])
+    with pytest.raises(L2SError, match="need at least 2 labels"):
+        LabelTreeTask([(0, 1.0)], [0.5], label_count=1)
 
 
 # -- synthetic data --

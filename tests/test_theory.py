@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from l2s.core import LinearPolicy, StateRef, act
-from l2s.errors import L2SError, TooLarge, TraceIncomplete
+from l2s.errors import L2SError
 from l2s.theory import (
     ExactModel,
     TablePolicy,
@@ -169,7 +169,7 @@ def test_regret_bound_on_arbitrary_policy_sequences():
 
 def test_regret_bound_empty_trace():
     m = two_level_chooser()
-    with pytest.raises(TraceIncomplete):
+    with pytest.raises(L2SError, match="empty training trace"):
         check_regret_bound(m, reference_policy(m), [], 0.5)
 
 
@@ -274,12 +274,13 @@ def test_snake_dimension_six_is_the_known_longest():
     path = longest_snake(6)
     assert len(path) - 1 == 26
     assert is_induced_path(path, 6)
-    with pytest.raises(TooLarge):
+    with pytest.raises(L2SError, match="dimension 7 > 6"):
         longest_snake(7)
 
 
 def test_snake_dimension_limits():
-    with pytest.raises(TooLarge):
+    with pytest.raises(L2SError, match="dimension 8 > 6"):
         longest_snake(8)
-    with pytest.raises(TooLarge):
+    with pytest.raises(L2SError,
+                       match="brute-force oracle limited to dimension 5"):
         longest_snake_bruteforce(6)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l2s import core, rng, theory
-from l2s.errors import BadConfig, DimensionMismatch, NoPolicies, NonFiniteCost
+from l2s.errors import L2SError
 from l2s.tasks import ParseTask, SequenceTask, gen_sequences, gen_trees
 from l2s.theory.exact import ExactModelTask
 from l2s.trainer import (
@@ -23,20 +23,20 @@ from l2s.trainer import (
 
 
 def test_plan_validation():
-    with pytest.raises(BadConfig):
+    with pytest.raises(L2SError, match="roll_in must be one of"):
         RolloutPlan(roll_in="mixture")  # not a roll-in choice
-    with pytest.raises(BadConfig):
+    with pytest.raises(L2SError, match="roll_out must be one of"):
         RolloutPlan(roll_out="nope")
-    with pytest.raises(BadConfig):
+    with pytest.raises(L2SError, match=r"beta 1\.5 outside \[0, 1\]"):
         RolloutPlan(beta=1.5)
 
 
 def test_extract_costs():
     assert list(extract_costs([3.0, 1.0, 2.0])) == [2.0, 0.0, 1.0]
     assert list(extract_costs([0.9])) == [0.0]
-    with pytest.raises(NonFiniteCost):
+    with pytest.raises(L2SError, match=r"^losses \[ 1\. inf\]$"):
         extract_costs([1.0, np.inf])
-    with pytest.raises(NonFiniteCost):
+    with pytest.raises(L2SError, match="empty loss vector"):
         extract_costs([])
 
 
@@ -65,7 +65,7 @@ def test_extract_costs_equals_numpy_shift(losses):
 @given(st.lists(FINITE, max_size=6), NON_FINITE, st.integers(0, 6))
 def test_extract_costs_rejects_non_finite(losses, bad, at):
     losses = losses[:at] + [bad] + losses[at:]
-    with pytest.raises(NonFiniteCost) as err:
+    with pytest.raises(L2SError, match="^losses ") as err:
         extract_costs(losses)
     assert str(err.value) == f"losses {np.asarray(losses, dtype=np.float64)}"
 
@@ -202,7 +202,7 @@ def test_history_and_averaging_pool():
     task = ExactModelTask(model)
     trainer = Trainer(task.dimension, plan)
     g = rng.substream(0, rng.AVERAGING)
-    with pytest.raises(NoPolicies):
+    with pytest.raises(L2SError, match="no snapshot from 1 in a pool of 1"):
         AveragedPolicy(trainer.history, g, first=1)  # only the initial policy
     trainer.process_example(task)
     assert len(trainer.history) == 2
@@ -273,11 +273,11 @@ def test_policy_pool_save_load_round_trip(tmp_path):
 
 def test_policy_pool_rejects_foreign_weights_and_indices():
     pool = PolicyPool(4)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(L2SError, match="weights 5 != pool dimension 4"):
         pool.append(np.zeros(5), [0])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(L2SError, match=r"written indices outside \[0, 4\)"):
         pool.append(np.zeros(4), [4])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(L2SError, match=r"written indices outside \[0, 4\)"):
         pool.append(np.zeros(4), [-1])
     with pytest.raises(IndexError):
         pool.rebuild(1)
