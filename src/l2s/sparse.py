@@ -17,6 +17,10 @@ import numpy as np
 
 from .errors import L2SError
 
+#: entries of each task module's per-token key cache: a bound on its
+#: memory, not a setting
+TOKEN_CACHE_SIZE = 1 << 14
+
 
 @dataclass(frozen=True)
 class SparseFeatures:
@@ -101,3 +105,15 @@ def dot(weights, features, offset=0):
 def hash_index(key, base):
     """Stable (cross-run, cross-platform) hash of a string key into [0, base)."""
     return zlib.crc32(key.encode("utf-8")) % base
+
+
+def prefix_crc(prefix):
+    """The CRC32 of a key's prefix, to finish keys by `hash_suffix`."""
+    return zlib.crc32(prefix.encode("utf-8"))
+
+
+def hash_suffix(crc, suffix, base):
+    """hash_index(prefix + suffix, base), with crc = prefix_crc(prefix):
+    the CRC continues over the suffix's bytes, so a prefix shared by
+    many keys is encoded and read once."""
+    return zlib.crc32(suffix.encode("utf-8"), crc) % base

@@ -135,6 +135,10 @@ def read_multiclass(path):
                 raise DataFormatError(str(exc), line=no)
             if not all(map(math.isfinite, [v for _, v in pairs] + costs)):
                 raise DataFormatError("non-finite feature value or cost", line=no)
+            # bounds every partial sum the label tree makes of this row's
+            # values, at a repeated index or a hash collision
+            if not math.isfinite(sum(abs(v) for _, v in pairs)):
+                raise DataFormatError("feature values overflow when summed", line=no)
             if len(costs) < 2:
                 raise DataFormatError(
                     f"row has {len(costs)} cost columns, need at least 2", line=no)

@@ -12,12 +12,34 @@ The optimal reference takes a minimum-cost action under
 the gold arcs an action makes unreachable (see its docstring).
 """
 
+import functools
+
 from ..core import SearchTask, SeededReference, StateRef, argmin
 from ..errors import L2SError
-from ..sparse import ActionFeatures, SparseFeatures, hash_index
+from ..sparse import (TOKEN_CACHE_SIZE, ActionFeatures, SparseFeatures,
+                      hash_index, hash_suffix, prefix_crc)
 
 SHIFT, REDUCE_LEFT, REDUCE_RIGHT = 0, 1, 2
 BASE_BITS = 15
+BASE = 1 << BASE_BITS
+_BIAS = hash_index("bias", BASE)
+# dist= is 1..4 between s0 and b0, capped, and 5 when either is missing
+_DIST = {d: hash_index(f"dist={d}", BASE) for d in range(1, 6)}
+
+
+@functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
+def _token_keys(token):
+    """The indices of the keys that read one token: for each role s0,
+    s1, b0 and b1 its word key, then its 2-character prefix key (s0=,
+    s0p=, s1=, s1p=, ...); last, the CRCs that start the pair keys
+    s0b0= and s0pb0p= with the token as s0. A missing item reads the
+    token `<none>`."""
+    prefix = token[:2]
+    keys = []
+    for role in ("s0", "s1", "b0", "b1"):
+        keys += (hash_index(f"{role}={token}", BASE),
+                 hash_index(f"{role}p={prefix}", BASE))
+    return (*keys, prefix_crc(f"s0b0={token}|"), prefix_crc(f"s0pb0p={prefix}|"))
 
 
 class ParseTask(SearchTask):
@@ -33,7 +55,7 @@ class ParseTask(SearchTask):
         if self.n < 1:
             raise L2SError("empty sentence")
         self.gold_heads = list(gold_heads)
-        self.base = 1 << BASE_BITS
+        self.base = BASE
         self.horizon = 2 * self.n - 1
         self.dimension = 3 * self.base
 
@@ -58,21 +80,11 @@ class ParseTask(SearchTask):
         # with a buffer the slots are the transition ids themselves, and
         # without one the only slot is REDUCE_RIGHT
         act = action if buf <= self.n else REDUCE_RIGHT
-        heads = list(heads)
         if act == SHIFT:
-            stack = stack + (buf,)
-            buf += 1
-        elif act == REDUCE_LEFT:
-            heads[stack[-1] - 1] = buf
-            stack = stack[:-1]
-        else:  # REDUCE_RIGHT
-            heads[stack[-1] - 1] = stack[-2]
-            stack = stack[:-1]
-        return StateRef(state.depth + 1, (stack, buf, tuple(heads)))
-
-    def _token(self, i):
-        """Token string for 1-based index i, or a boundary marker."""
-        return self.tokens[i - 1] if 1 <= i <= self.n else "<none>"
+            return StateRef(state.depth + 1, (stack + (buf,), buf + 1, heads))
+        heads = list(heads)
+        heads[stack[-1] - 1] = buf if act == REDUCE_LEFT else stack[-2]
+        return StateRef(state.depth + 1, (stack[:-1], buf, tuple(heads)))
 
     def feature_key(self, state):
         stack, buf, _ = state.payload
@@ -85,24 +97,16 @@ class ParseTask(SearchTask):
         b0 = buf if buf <= self.n else 0
         b1 = buf + 1 if buf + 1 <= self.n else 0
         dist = min(abs(b0 - s0), 4) if s0 and b0 else 5
-        t_s0, t_s1 = self._token(s0), self._token(s1)
-        t_b0, t_b1 = self._token(b0), self._token(b1)
-        keys = [
-            "bias",
-            "s0=" + t_s0,
-            "s1=" + t_s1,
-            "b0=" + t_b0,
-            "b1=" + t_b1,
-            f"s0b0={t_s0}|{t_b0}",
-            # coarse 2-char prefixes generalize across the vocabulary
-            "s0p=" + t_s0[:2],
-            "s1p=" + t_s1[:2],
-            "b0p=" + t_b0[:2],
-            "b1p=" + t_b1[:2],
-            f"s0pb0p={t_s0[:2]}|{t_b0[:2]}",
-            f"dist={dist}",
-        ]
-        idx = sorted({hash_index(k, self.base) for k in keys})
+        tokens = self.tokens
+        t_b0 = tokens[b0 - 1] if b0 else "<none>"
+        k_s0 = _token_keys(tokens[s0 - 1] if s0 else "<none>")
+        k_s1 = _token_keys(tokens[s1 - 1] if s1 else "<none>")
+        k_b0 = _token_keys(t_b0)
+        k_b1 = _token_keys(tokens[b1 - 1] if b1 else "<none>")
+        # coarse 2-char prefixes generalize across the vocabulary
+        idx = sorted({_BIAS, k_s0[0], k_s0[1], k_s1[2], k_s1[3], k_b0[4], k_b0[5],
+                      k_b1[6], k_b1[7], hash_suffix(k_s0[8], t_b0, BASE),
+                      hash_suffix(k_s0[9], t_b0[:2], BASE), _DIST[dist]})
         # one base block per global action id, not per legal-action slot
         return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),
                               tuple(self.legal_actions(state)), self.dimension)

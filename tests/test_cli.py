@@ -498,6 +498,7 @@ def test_damaged_model_file_exits_one(runner, tmp_path, damage):
     ("sequence", "a\t1000000000\t\n\nb\t0\t\n"),  # tag beyond the bound
     ("multiclass", "1:nan,0.5,0.2\n"),    # non-finite feature value
     ("multiclass", "1:1.0,0.5,inf\n"),    # non-finite cost
+    ("multiclass", "1:1e308 1:1e308,0.0,1.0\n2:1.0,1.0,0.0\n"),  # sum overflows
     ("parse", "a\t\t0\nb\t\t3\nc\t\t2\n"),  # one root, and a cycle
     ("multiclass", "1:1,0.0,1.0\n1:1,0.0,1.0,0.5\n"),  # cost counts differ
 ])

@@ -435,3 +435,8 @@ def test_multiclass_format_errors(tmp_path):
     p.write_text("nocolon,1.0\n")
     with pytest.raises(DataFormatError):
         read_multiclass(p)
+    # each value finite, their sum not: the label tree would add them
+    p.write_text("0:1.0,0.5,0.5\n1:1e308 2:-1e308,0.5,0.5\n")
+    with pytest.raises(DataFormatError) as e:
+        read_multiclass(p)
+    assert e.value.line == 2
