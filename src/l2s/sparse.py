@@ -20,6 +20,10 @@ from .errors import L2SError
 #: entries of each task module's per-token key cache: a bound on its
 #: memory, not a setting
 TOKEN_CACHE_SIZE = 1 << 14
+#: entries of each task module's cache of whole ActionFeatures, keyed by
+#: the context a state's features read: a bound on its memory, not a
+#: setting
+FEATURE_CACHE_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -16,30 +16,52 @@ import functools
 
 from ..core import SearchTask, SeededReference, StateRef, argmin
 from ..errors import L2SError
-from ..sparse import (TOKEN_CACHE_SIZE, ActionFeatures, SparseFeatures,
-                      hash_index, hash_suffix, prefix_crc)
+from ..sparse import (FEATURE_CACHE_SIZE, TOKEN_CACHE_SIZE, ActionFeatures,
+                      SparseFeatures, hash_index, hash_suffix, prefix_crc)
 
 SHIFT, REDUCE_LEFT, REDUCE_RIGHT = 0, 1, 2
 BASE_BITS = 15
 BASE = 1 << BASE_BITS
-_BIAS = hash_index("bias", BASE)
+_BIAS = (hash_index("bias", BASE), 1.0)
 # dist= is 1..4 between s0 and b0, capped, and 5 when either is missing
-_DIST = {d: hash_index(f"dist={d}", BASE) for d in range(1, 6)}
+_DIST = {d: (hash_index(f"dist={d}", BASE), 1.0) for d in range(1, 6)}
+# the live actions by (buffer not empty, stack items capped at 2); with
+# the buffer empty the stack is never empty, and one item is the end
+_LEGAL = {(True, 0): (SHIFT,), (True, 1): (SHIFT, REDUCE_LEFT),
+          (True, 2): (SHIFT, REDUCE_LEFT, REDUCE_RIGHT),
+          (False, 1): (), (False, 2): (REDUCE_RIGHT,)}
 
 
 @functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
 def _token_keys(token):
-    """The indices of the keys that read one token: for each role s0,
-    s1, b0 and b1 its word key, then its 2-character prefix key (s0=,
-    s0p=, s1=, s1p=, ...); last, the CRCs that start the pair keys
-    s0b0= and s0pb0p= with the token as s0. A missing item reads the
-    token `<none>`."""
+    """The (index, 1.0) pairs of the keys that read one token, one tuple
+    per pair, shared by every cached feature set that holds it: for
+    each role s0, s1, b0 and b1 its word key, then its 2-character
+    prefix key (s0=, s0p=, s1=, s1p=, ...); last, the CRCs that start
+    the pair keys s0b0= and s0pb0p= with the token as s0. A missing item
+    reads the token `<none>`."""
     prefix = token[:2]
     keys = []
     for role in ("s0", "s1", "b0", "b1"):
-        keys += (hash_index(f"{role}={token}", BASE),
-                 hash_index(f"{role}p={prefix}", BASE))
+        keys += ((hash_index(f"{role}={token}", BASE), 1.0),
+                 (hash_index(f"{role}p={prefix}", BASE), 1.0))
     return (*keys, prefix_crc(f"s0b0={token}|"), prefix_crc(f"s0pb0p={prefix}|"))
+
+
+@functools.lru_cache(maxsize=FEATURE_CACHE_SIZE)
+def _features(s0, s1, b0, b1, dist, legal):
+    """The ActionFeatures of every state that reads this context: the
+    tokens at s0, s1, b0 and b1, the dist= value and the legal actions,
+    one base block per global action id, not per legal-action slot."""
+    k_s0 = _token_keys(s0)
+    k_s1 = _token_keys(s1)
+    k_b0 = _token_keys(b0)
+    k_b1 = _token_keys(b1)
+    # coarse 2-char prefixes generalize across the vocabulary
+    pairs = sorted({_BIAS, k_s0[0], k_s0[1], k_s1[2], k_s1[3], k_b0[4], k_b0[5],
+                    k_b1[6], k_b1[7], (hash_suffix(k_s0[8], b0, BASE), 1.0),
+                    (hash_suffix(k_s0[9], b0[:2], BASE), 1.0), _DIST[dist]})
+    return ActionFeatures(SparseFeatures(tuple(pairs), BASE), legal, 3 * BASE)
 
 
 class ParseTask(SearchTask):
@@ -65,14 +87,7 @@ class ParseTask(SearchTask):
     def legal_actions(self, state):
         """The transition ids of the live actions, in action order."""
         stack, buf, _ = state.payload
-        acts = []
-        if buf <= self.n:
-            acts.append(SHIFT)
-            if stack:
-                acts.append(REDUCE_LEFT)
-        if len(stack) >= 2:
-            acts.append(REDUCE_RIGHT)
-        return acts
+        return _LEGAL[buf <= self.n, min(len(stack), 2)]
 
     def transition(self, state, action):
         stack, buf, heads = state.payload
@@ -92,24 +107,16 @@ class ParseTask(SearchTask):
 
     def action_features(self, state):
         stack, buf, _ = state.payload
+        n, tokens = self.n, self.tokens
         s0 = stack[-1] if stack else 0
         s1 = stack[-2] if len(stack) >= 2 else 0
-        b0 = buf if buf <= self.n else 0
-        b1 = buf + 1 if buf + 1 <= self.n else 0
+        b0 = buf if buf <= n else 0
         dist = min(abs(b0 - s0), 4) if s0 and b0 else 5
-        tokens = self.tokens
-        t_b0 = tokens[b0 - 1] if b0 else "<none>"
-        k_s0 = _token_keys(tokens[s0 - 1] if s0 else "<none>")
-        k_s1 = _token_keys(tokens[s1 - 1] if s1 else "<none>")
-        k_b0 = _token_keys(t_b0)
-        k_b1 = _token_keys(tokens[b1 - 1] if b1 else "<none>")
-        # coarse 2-char prefixes generalize across the vocabulary
-        idx = sorted({_BIAS, k_s0[0], k_s0[1], k_s1[2], k_s1[3], k_b0[4], k_b0[5],
-                      k_b1[6], k_b1[7], hash_suffix(k_s0[8], t_b0, BASE),
-                      hash_suffix(k_s0[9], t_b0[:2], BASE), _DIST[dist]})
-        # one base block per global action id, not per legal-action slot
-        return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),
-                              tuple(self.legal_actions(state)), self.dimension)
+        return _features(tokens[s0 - 1] if s0 else "<none>",
+                         tokens[s1 - 1] if s1 else "<none>",
+                         tokens[b0 - 1] if b0 else "<none>",
+                         tokens[buf] if buf < n else "<none>",
+                         dist, self.legal_actions(state))
 
     def predicted_heads(self, state):
         """Heads at an end state; the lone stack survivor attaches to root."""

@@ -3,25 +3,50 @@
 import functools
 
 from ..core import SearchTask, SeededReference, StateRef
-from ..sparse import (TOKEN_CACHE_SIZE, ActionFeatures, SparseFeatures,
-                      hash_index)
+from ..sparse import (FEATURE_CACHE_SIZE, TOKEN_CACHE_SIZE, ActionFeatures,
+                      SparseFeatures, hash_index)
 
 BASE_BITS = 15
 BASE = 1 << BASE_BITS
-_BIAS = hash_index("bias", BASE)
-# the tm1= indices of tags 0..255, the tags a data file may hold; a tag
+_BIAS = (hash_index("bias", BASE), 1.0)
+# the tm1= pairs of tags 0..255, the tags a data file may hold; a tag
 # beyond them, which only the API can give, is hashed where it is met
-_TAGS = tuple(hash_index(f"tm1={tag}", BASE) for tag in range(256))
+_TAGS = tuple((hash_index(f"tm1={tag}", BASE), 1.0) for tag in range(256))
 
 
 @functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
 def _token_keys(token):
-    """The indices of the keys that read one token, as the current word
-    (w=, p2=, s2=), the previous word (wm1=) and the next word (wp1=).
-    The sentence boundaries read the tokens `<s>` and `</s>`."""
-    return (hash_index("w=" + token, BASE), hash_index("p2=" + token[:2], BASE),
-            hash_index("s2=" + token[-2:], BASE), hash_index("wm1=" + token, BASE),
-            hash_index("wp1=" + token, BASE))
+    """The (index, 1.0) pairs of the keys that read one token, as the
+    current word (w=, p2=, s2=), the previous word (wm1=) and the next
+    word (wp1=): one tuple per pair, shared by every cached feature set
+    that holds it. The sentence boundaries read the tokens `<s>` and
+    `</s>`."""
+    return tuple((hash_index(key, BASE), 1.0) for key in (
+        "w=" + token, "p2=" + token[:2], "s2=" + token[-2:], "wm1=" + token,
+        "wp1=" + token))
+
+
+@functools.lru_cache(maxsize=256)
+def _blocks(tag_count):
+    """One action block per tag: one tuple per tag count, however many
+    cached feature sets hold it."""
+    return tuple(range(tag_count))
+
+
+@functools.lru_cache(maxsize=FEATURE_CACHE_SIZE)
+def _features(previous, token, following, tag, tag_count):
+    """The ActionFeatures of every state that reads this context: the
+    previous, current and next token, the last tag (None before the
+    first) and the tag count."""
+    word, prefix, suffix, _, _ = _token_keys(token)
+    if tag is not None and tag < len(_TAGS):
+        tag = _TAGS[tag]
+    else:
+        tag = (hash_index(f"tm1={'<s>' if tag is None else tag}", BASE), 1.0)
+    pairs = sorted({_BIAS, word, prefix, suffix, _token_keys(previous)[3],
+                    _token_keys(following)[4], tag})
+    return ActionFeatures(SparseFeatures(tuple(pairs), BASE), _blocks(tag_count),
+                          tag_count * BASE)
 
 
 class SequenceTask(SearchTask):
@@ -52,17 +77,9 @@ class SequenceTask(SearchTask):
 
     def action_features(self, state):
         t, tokens, tags = state.depth, self.tokens, state.payload
-        word, prefix, suffix, _, _ = _token_keys(tokens[t])
-        if tags and tags[-1] < len(_TAGS):
-            tag = _TAGS[tags[-1]]
-        else:
-            tag = hash_index(f"tm1={tags[-1] if tags else '<s>'}", BASE)
-        idx = sorted({_BIAS, word, prefix, suffix,
-                      _token_keys(tokens[t - 1] if t else "<s>")[3],
-                      _token_keys(tokens[t + 1] if t + 1 < self.horizon else "</s>")[4],
-                      tag})
-        return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), self.base),
-                              tuple(range(self.tag_count)), self.dimension)
+        return _features(tokens[t - 1] if t else "<s>", tokens[t],
+                         tokens[t + 1] if t + 1 < self.horizon else "</s>",
+                         tags[-1] if tags else None, self.tag_count)
 
     def terminal_loss(self, state):
         wrong = sum(1 for p, g in zip(state.payload, self.gold_tags) if p != g)

@@ -162,18 +162,18 @@ class PolicyPool:
 
     @classmethod
     def load(cls, path):
-        """The pool a `save` archive holds, or one from an archive whose
-        `snapshots` array holds a dense row per snapshot, entry j then
-        being row j at the indices where its float64 bytes differ from
-        row j - 1's. Each snapshot after the first is replayed through
-        `append` as the one before it with its entry's values set.
-        Anything else is an L2SError."""
+        """The pool a `save` archive holds. Each snapshot after the first
+        is replayed through `append` as the one before it with its
+        entry's values set. Anything else is an L2SError, as is an
+        archive of the older form with one dense row per snapshot under
+        `snapshots`, which no longer loads."""
         try:
             with np.load(path) as archive:
-                arrays = (_entries_of_rows(archive["snapshots"])
-                          if "snapshots" in archive else
-                          [archive[key] for key in
-                           ("dimension", "offsets", "indices", "values")])
+                if "snapshots" in archive:
+                    raise ValueError("dense `snapshots` rows, an older "
+                                     "form that is no longer read")
+                arrays = [archive[key] for key in
+                          ("dimension", "offsets", "indices", "values")]
             dimension, offsets, indices, values = _checked(*arrays)
         except (ValueError, KeyError, TypeError, EOFError,
                 zipfile.BadZipFile) as exc:
@@ -184,22 +184,6 @@ class PolicyPool:
             weights[indices[lo:hi]] = values[lo:hi]
             pool.append(weights, indices[lo:hi])
         return pool
-
-
-def _entries_of_rows(rows):
-    """The flattened (dimension, offsets, indices, values) of dense
-    snapshot rows."""
-    if rows.ndim != 2 or rows.dtype.kind != "f":
-        raise ValueError(f"snapshots of shape {rows.shape} and dtype {rows.dtype}")
-    rows = rows.astype(np.float64, copy=False)
-    indices, before = [], np.zeros(rows.shape[1], dtype=np.int64)
-    for bits in rows.view(np.int64):
-        indices.append(np.flatnonzero(bits != before))
-        before = bits
-    return (np.array(rows.shape[1]),
-            np.cumsum([0] + [len(idx) for idx in indices]),
-            np.concatenate(indices),
-            np.concatenate([row[idx] for row, idx in zip(rows, indices)]))
 
 
 def _checked(dimension, offsets, indices, values):

@@ -684,25 +684,26 @@ def test_history_archive_round_trip(runner, tmp_path):
     assert name == "accuracy" and 0.0 <= float(value) <= 1.0
 
 
-def test_eval_history_reads_a_dense_snapshots_archive(runner, tmp_path):
-    # the archive form `train --history-out` wrote before the pool's own:
-    # one dense row per snapshot under the key `snapshots`
+def test_eval_history_refuses_a_dense_snapshots_archive(runner, tmp_path):
+    # the archive form `train --history-out` wrote before the pool's own,
+    # one dense row per snapshot under the key `snapshots`, is refused by
+    # name; the pool's own archive of the same run is read
     data = gen(runner, tmp_path, "sequence", 12, "seq.tsv")
     history, legacy = tmp_path / "history.npz", tmp_path / "legacy.npz"
     r = runner.invoke(cli.main, train_args(data, "sequence", tmp_path / "m.model")
                       + ["--passes", "2", "--history-out", str(history)])
     assert r.exit_code == 0, r.output
-    pool = PolicyPool.load(history)
-    np.savez_compressed(legacy, config="c", snapshots=np.array(list(pool)))
-    assert all(a.tobytes() == b.tobytes() for a, b
-               in zip(PolicyPool.load(legacy), pool, strict=True))
-    lines = []
-    for path in (history, legacy):
-        r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
-                                     str(data), "--history", str(path)])
-        assert r.exit_code == 0, r.output
-        lines.append(r.output)
-    assert lines[0] == lines[1]
+    np.savez_compressed(legacy, config="c",
+                        snapshots=np.array(list(PolicyPool.load(history))))
+    r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
+                                 str(data), "--history", str(history)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(cli.main, ["eval", "--task", "sequence", "--data",
+                                 str(data), "--history", str(legacy)])
+    assert_clean_exit(r, 1)
+    assert r.output.startswith("error:")
+    assert "not a snapshot archive" in r.output
+    assert "dense `snapshots` rows" in r.output
 
 
 def test_eval_model_and_history_together_exits_one(runner, tmp_path):

@@ -2,15 +2,23 @@
 
 The oracle below spells every key out in full and hashes it through
 `sparse.hash_index`; the tasks read the same indices from per-token
-caches and CRC continuation, so any difference in a key's spelling, a
-role, a boundary marker or the continuation shows as unequal features.
+caches, CRC continuation and a cache of whole feature sets keyed by
+each state's context, so any difference in a key's spelling, a role, a
+boundary marker, the continuation or a context key shows as unequal
+features.
 """
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2s import sparse
+from l2s import experiment, rng, sparse
+from l2s.experiment import Dataset
 from l2s.sparse import ActionFeatures, SparseFeatures, from_pairs, hash_index
-from l2s.tasks import LabelTreeTask, ParseTask, SequenceTask, parse, sequence
+from l2s.tasks import (LabelTreeTask, ParseTask, SequenceTask, gen_sequences,
+                       gen_trees, parse, sequence)
+from l2s.trainer import RolloutPlan
 
 
 def sequence_keys(task, state):
@@ -136,16 +144,63 @@ def first_action_path(task):
 
 
 def test_token_caches_stay_bounded_and_correct():
+    # n unique tokens overflow the token caches, and their contexts the
+    # feature caches
     n = sparse.TOKEN_CACHE_SIZE + 500
     words = [f"t{i}é" for i in range(n)]
     tagged = [SequenceTask(words[i:i + 4], [0] * 4, 2) for i in range(0, n, 4)]
     parsed = [ParseTask(words[i:i + 4], [0, 1, 1, 1]) for i in range(0, n, 4)]
-    # the first tasks again once their tokens have been evicted
+    # the first tasks again once their tokens and contexts have been evicted
     for task in tagged + tagged[:3] + parsed + parsed[:3]:
         assert_matches_oracle(task, first_action_path(task))
-    for cached in (sequence._token_keys, parse._token_keys):
+    for cached, size in ((sequence._token_keys, sparse.TOKEN_CACHE_SIZE),
+                         (parse._token_keys, sparse.TOKEN_CACHE_SIZE),
+                         (sequence._features, sparse.FEATURE_CACHE_SIZE),
+                         (parse._features, sparse.FEATURE_CACHE_SIZE)):
         info = cached.cache_info()
-        assert info.currsize == info.maxsize == sparse.TOKEN_CACHE_SIZE
+        assert info.currsize == info.maxsize == size
+
+
+def test_sequence_tag_count_keys_the_feature_cache():
+    # the same tokens and tags under two tag counts share no feature set
+    words = ["a", "b", "c"]
+    two, three = SequenceTask(words, [0] * 3, 2), SequenceTask(words, [0] * 3, 3)
+    state = two.transition(two.start_state(), 1)
+    f2, f3 = two.action_features(state), three.action_features(state)
+    assert f2.shared == f3.shared
+    assert (f2.dimension, f2.blocks) == (2 * sequence.BASE, (0, 1))
+    assert (f3.dimension, f3.blocks) == (3 * sequence.BASE, (0, 1, 2))
+    assert_matches_oracle(two)
+    assert_matches_oracle(three)
+
+
+def grid_weights(dataset):
+    """The weight bytes of the six grid cells, each trained for one pass
+    with a bad reference as `experiment.run_grid` trains it at seed 3."""
+    weights = []
+    for idx, (roll_in, roll_out) in enumerate(experiment.GRID_CELLS):
+        plan = RolloutPlan(roll_in=roll_in, roll_out=roll_out, beta=0.5,
+                           seed=rng.derive_seed(3, rng.GRID, idx))
+        trainer = experiment.train(dataset, plan, 1, quality="bad", seed=3)
+        weights.append(trainer.learner.weights.tobytes())
+    return weights
+
+
+@pytest.mark.parametrize("kind", ["sequence", "parse"])
+def test_feature_cache_carries_nothing_between_runs(kind):
+    # one grid trained straight after the task's feature cache is
+    # cleared, then again with it warm: the same model bytes
+    if kind == "sequence":
+        module, meta = sequence, {"tag_count": 5}
+        records = gen_sequences(12, 4)
+    else:
+        module, meta = parse, {}
+        records = gen_trees(12, 4)
+    dataset = Dataset(kind, [tuple(r) for r in records], meta)
+    module._features.cache_clear()
+    cold = grid_weights(dataset)
+    assert module._features.cache_info().currsize > 0
+    assert grid_weights(dataset) == cold
 
 
 def test_sequence_tag_beyond_the_file_bound_builds_features():

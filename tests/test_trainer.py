@@ -243,16 +243,18 @@ def test_policy_pool_snapshots_equal_dense_copies(updates, random):
     assert same(pool.rebuild(-1), dense[-1])
     iterated = list(pool)  # kept: later arrays must leave earlier ones alone
     assert all(same(got, want) for got, want in zip(iterated, dense, strict=True))
-    # through an archive of either form, zeros of both signs included
+    # through an archive, zeros of both signs included; the older form
+    # with one dense row per snapshot is refused by name
     saved, legacy = io.BytesIO(), io.BytesIO()
     pool.save(saved)
+    saved.seek(0)
+    loaded = PolicyPool.load(saved)
+    assert all(same(got, want) for got, want in zip(loaded, dense, strict=True))
+    assert same(loaded.rebuild(j), dense[j])
     np.savez(legacy, snapshots=np.array(dense))
-    for archive in (saved, legacy):
-        archive.seek(0)
-        loaded = PolicyPool.load(archive)
-        assert all(same(got, want)
-                   for got, want in zip(loaded, dense, strict=True))
-        assert same(loaded.rebuild(j), dense[j])
+    legacy.seek(0)
+    with pytest.raises(L2SError, match="dense `snapshots` rows"):
+        PolicyPool.load(legacy)
 
 
 def test_policy_pool_save_load_round_trip(tmp_path):
