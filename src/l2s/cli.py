@@ -20,13 +20,6 @@ from . import core, experiment, rng, theory
 from .cslearn import CostSensitiveLearner
 from .errors import CheckFailed, DataFormatError, L2SError
 from .trainer import AveragedPolicy, PolicyPool, RolloutPlan
-from .tasks import (
-    gen_multiclass,
-    gen_sequences,
-    gen_trees,
-    write_multiclass,
-    write_sentences,
-)
 
 
 # The ExperimentConfig fields each command reads. A command offers a flag
@@ -183,10 +176,10 @@ def grid(config_path, out, **overrides):
     if cfg.test_data:
         train_set = dataset
         test_set = experiment.load_dataset(cfg.task, cfg.test_data)
-        # multiclass only: the label tree's node keys depend on the count
-        trained, held_out = (d.meta.get("label_count")
-                             for d in (train_set, test_set))
-        if trained != held_out:
+        # where a model does not tell its size, as with the label count
+        # that keys a label tree's nodes, the two files must agree on it
+        trained, held_out = train_set.size, test_set.size
+        if not experiment.KINDS[cfg.task].model_sized and trained != held_out:
             raise L2SError(f"test data has {held_out} labels, "
                            f"training data {trained}")
     else:
@@ -215,15 +208,13 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     """
     _at_least(1, rounds=rounds)
     cfg, dataset = _config_and_data("bandit", config_path, overrides)
-    if dataset.kind == "multiclass":
-        # a multiclass cost is the bandit's loss as it stands; sequence
-        # and parse losses lie in [0, 1] by construction
-        for no, (_, costs) in enumerate(dataset.records, 1):
-            bad = [c for c in costs if not 0.0 <= c <= 1.0]
-            if bad:
-                raise DataFormatError(f"{cfg.data}: instance {no} has cost "
-                                      f"{bad[0]} outside the bandit's loss "
-                                      "range [0, 1]")
+    costs = experiment.KINDS[cfg.task].costs
+    for no, record in enumerate(dataset.records, 1):
+        bad = [c for c in costs(record) if not 0.0 <= c <= 1.0]
+        if bad:
+            raise DataFormatError(f"{cfg.data}: instance {no} has cost "
+                                  f"{bad[0]} outside the bandit's loss "
+                                  "range [0, 1]")
     state = banditmod.BanditState(
         experiment.task_dimension(dataset), epsilon=epsilon,
         beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)
@@ -374,14 +365,7 @@ def gen_data(kind, count, seed, out):
     """Write a seeded synthetic dataset in the on-disk format."""
     _at_least(1, count=count)
     _at_least(0, seed=seed)
-    if kind == "sequence":
-        data = gen_sequences(count, seed)
-        write_sentences(out, [(toks, tags, None) for toks, tags in data])
-    elif kind == "parse":
-        data = gen_trees(count, seed)
-        write_sentences(out, [(toks, None, heads) for toks, heads in data])
-    else:
-        write_multiclass(out, gen_multiclass(count, seed))
+    experiment.KINDS[kind].write(out, count, seed)
     click.echo(f"{count} {kind} instances -> {out}")
 
 

@@ -9,7 +9,8 @@ same data order and differs only in strategy.
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
 
 from . import core, rng
 from .core import REFERENCE_QUALITIES
@@ -20,23 +21,7 @@ from .trainer import (
     RolloutPlan,
     Trainer,
 )
-from .tasks import (
-    LabelTreeTask,
-    ParseTask,
-    SequenceTask,
-    read_multiclass,
-    read_sentences,
-    sequence,
-)
-
-TASK_KINDS = ("sequence", "multiclass", "parse")
-
-# metric name and direction per task kind
-METRICS = {
-    "sequence": ("accuracy", True),
-    "multiclass": ("avg_cost", False),
-    "parse": ("uas", True),
-}
+from .tasks import LabelTreeTask, ParseTask, SequenceTask, io, synth
 
 
 # -- configuration --
@@ -131,38 +116,82 @@ def config_hash(config):
 class Dataset:
     kind: str
     records: list
-    meta: dict = field(default_factory=dict)
+    size: int  # the tag or label count a task takes; None for parse
 
 
 # a sequence model holds tag count x 2^15 weights: 64 MiB at this bound
 MAX_TAG_COUNT = 256
 
 
+def _sentences(column, what):
+    """A reader of a sentence file's (tokens, gold) records, the gold
+    labels in `column`; a sentence without them is a DataFormatError."""
+    def read(path):
+        records = [(s[0], s[column]) for s in io.read_sentences(path)]
+        for no, (_, gold) in enumerate(records, 1):
+            if gold is None:
+                raise DataFormatError(f"{path}: sentence {no} has no gold {what}")
+        return records
+    return read
+
+
+def _tag_count(records, path):
+    top = max(t for _, tags in records for t in tags)
+    if top >= MAX_TAG_COUNT:
+        raise DataFormatError(f"{path}: tag {top} is not below the "
+                              f"tag bound {MAX_TAG_COUNT}")
+    return top + 1
+
+
+def _matches(task, end, gold):
+    return sum(1 for p, g in zip(task.decode(end), gold) if p == g), len(gold)
+
+
+# What the harness knows of a task kind. `score(task, end, gold)` is one
+# held-out instance's (metric total, weight), `costs(record)` the costs the
+# bandit takes as losses, `model_sized` whether a model's dimension is its
+# size times one unit's. `io` is read per call: a wrapper on it is called.
+Kind = namedtuple("Kind", "metric higher_is_better read size_of task score "
+                          "write costs model_sized")
+
+KINDS = {
+    "sequence": Kind(
+        "accuracy", True, _sentences(1, "tags"), _tag_count,
+        lambda record, size, normalize_loss: SequenceTask(
+            *record, size, normalize_loss=normalize_loss),
+        _matches,
+        lambda path, count, seed: io.write_sentences(path, [
+            (toks, tags, None) for toks, tags in synth.gen_sequences(count, seed)]),
+        lambda record: (), True),
+    "multiclass": Kind(
+        "avg_cost", False, lambda path: io.read_multiclass(path),
+        lambda records, path: len(records[0][1]),
+        lambda record, size, normalize_loss: LabelTreeTask(*record, size),
+        lambda task, end, costs: (task.terminal_loss(end), 1),
+        lambda path, count, seed: io.write_multiclass(
+            path, synth.gen_multiclass(count, seed)),
+        lambda record: record[1], False),
+    "parse": Kind(
+        "uas", True, _sentences(2, "heads"), lambda records, path: None,
+        lambda record, size, normalize_loss: ParseTask(*record),
+        _matches,
+        lambda path, count, seed: io.write_sentences(path, [
+            (toks, None, heads) for toks, heads in synth.gen_trees(count, seed)]),
+        lambda record: (), False),
+}
+TASK_KINDS = tuple(KINDS)
+
+
 def load_dataset(kind, path):
     """A data file's records; a file without instances, with an instance
     lacking gold labels, or with a sequence tag of MAX_TAG_COUNT or more
     is a DataFormatError."""
-    if kind == "multiclass":
-        records = read_multiclass(path)
-    elif kind in ("sequence", "parse"):
-        column, what = (1, "tags") if kind == "sequence" else (2, "heads")
-        records = [(s[0], s[column]) for s in read_sentences(path)]
-        for no, (_, gold) in enumerate(records, 1):
-            if gold is None:
-                raise DataFormatError(f"{path}: sentence {no} has no gold {what}")
-    else:
+    if kind not in KINDS:
         raise L2SError(f"unknown task kind {kind!r}")
+    records = KINDS[kind].read(path)
     if not records:
         raise DataFormatError(f"{path}: no instances")
-    if kind == "multiclass":
-        return Dataset(kind, records, {"label_count": len(records[0][1])})
-    if kind == "sequence":
-        top = max(t for _, tags in records for t in tags)
-        if top >= MAX_TAG_COUNT:
-            raise DataFormatError(f"{path}: tag {top} is not below the "
-                                  f"tag bound {MAX_TAG_COUNT}")
-        return Dataset(kind, records, {"tag_count": top + 1})
-    return Dataset(kind, records)
+    return Dataset(kind, records, KINDS[kind].size_of(records, path))
 
 
 HOLDOUT_FRACTION = 0.2
@@ -182,16 +211,8 @@ def split_dataset(dataset):
 
 
 def make_task(dataset, index, normalize_loss=False):
-    record = dataset.records[index]
-    if dataset.kind == "sequence":
-        tokens, tags = record
-        return SequenceTask(tokens, tags, dataset.meta["tag_count"],
-                            normalize_loss=normalize_loss)
-    if dataset.kind == "multiclass":
-        pairs, costs = record
-        return LabelTreeTask(pairs, costs, dataset.meta["label_count"])
-    tokens, heads = record
-    return ParseTask(tokens, heads)
+    return KINDS[dataset.kind].task(dataset.records[index], dataset.size,
+                                    normalize_loss)
 
 
 def task_dimension(dataset):
@@ -199,16 +220,16 @@ def task_dimension(dataset):
 
 
 def _for_model(dataset, dimension):
-    """`dataset` with the tag count of a sequence model of `dimension`
-    weights, so a held-out file lacking the top tags is still scored; a
-    file with a tag beyond the model's keeps its own count, and so its
-    mismatch."""
-    if dataset.kind != "sequence":
-        return dataset
-    tags, rest = divmod(dimension, 1 << sequence.BASE_BITS)
-    if rest or tags < dataset.meta["tag_count"]:
-        return dataset
-    return replace(dataset, meta={"tag_count": tags})
+    """`dataset` with the size of a model of `dimension` weights, where
+    the kind's model tells it, so a held-out file lacking the top tags is
+    still scored. A file beyond the model's size keeps its own, and so
+    its mismatch; so does a model beyond MAX_TAG_COUNT, which no file
+    trains."""
+    if KINDS[dataset.kind].model_sized:
+        size, rest = divmod(dimension, task_dimension(dataset) // dataset.size)
+        if not rest and dataset.size < size <= MAX_TAG_COUNT:
+            return replace(dataset, size=size)
+    return dataset
 
 
 # -- training and evaluation --
@@ -250,7 +271,6 @@ def evaluate(dataset, policy):
     snapshot of its pool per instance. The model dimension, the policy's
     weight count or the pool's dimension, must be the task's.
     """
-    name, _ = METRICS[dataset.kind]
     sampled = hasattr(policy, "sample")
     model_dimension = policy.pool.dimension if sampled else len(policy.weights)
     dataset = _for_model(dataset, model_dimension)
@@ -258,20 +278,16 @@ def evaluate(dataset, policy):
     if model_dimension != dimension:
         raise L2SError(
             f"model dimension {model_dimension} != task {dimension}")
+    kind = KINDS[dataset.kind]
     total, weight = 0.0, 0
-    for i in range(len(dataset.records)):
+    for i, (_, gold) in enumerate(dataset.records):
         pol = policy.sample() if sampled else policy
         task = make_task(dataset, i)
         end = core.execute(task, pol, task.start_state(), task.horizon)
-        if dataset.kind == "multiclass":
-            total += task.terminal_loss(end)
-            weight += 1
-        else:
-            gold = dataset.records[i][1]
-            pred = task.decode(end)
-            total += sum(1 for p, g in zip(pred, gold) if p == g)
-            weight += len(gold)
-    return name, total / weight if weight else 0.0
+        value, count = kind.score(task, end, gold)
+        total += value
+        weight += count
+    return kind.metric, total / weight
 
 
 # -- the strategy grid --
@@ -314,7 +330,6 @@ def run_grid(train_set, test_set, config):
     Every cell uses the same pass shuffles and reference seed; only the
     strategy (and its strategy-keyed substream) differs.
     """
-    name, higher = METRICS[train_set.kind]
     cells = []
     for idx, (ri, ro) in enumerate(GRID_CELLS):
         cell_seed = rng.derive_seed(config.seed, rng.GRID, idx)
@@ -325,7 +340,9 @@ def run_grid(train_set, test_set, config):
                         seed=config.seed)
         _, value = evaluate(test_set, trainer.learner.policy())
         cells.append(GridCell(ri, ro, cell_seed, value))
-    return GridReport(name, higher, config_hash(config), cells)
+    kind = KINDS[train_set.kind]
+    return GridReport(kind.metric, kind.higher_is_better, config_hash(config),
+                      cells)
 
 
 def render_grid(report):

@@ -28,7 +28,6 @@ from .counterexamples import (
 from .snake import (
     best_neighbor_descent,
     longest_snake,
-    longest_snake_bruteforce,
     snake_costs,
     snake_lower_bound,
 )

@@ -164,9 +164,11 @@ class PolicyPool:
     def load(cls, path):
         """The pool a `save` archive holds. Each snapshot after the first
         is replayed through `append` as the one before it with its
-        entry's values set. Anything else is an L2SError, as is an
-        archive of the older form with one dense row per snapshot under
-        `snapshots`, which no longer loads."""
+        entry's values set, over the archive's distinct indices numbered
+        in order, so loading holds memory by the entries, not by the
+        dimension the header declares. Anything else is an L2SError, as
+        is an archive of the older form with one dense row per snapshot
+        under `snapshots`, which no longer loads."""
         try:
             with np.load(path) as archive:
                 if "snapshots" in archive:
@@ -178,11 +180,15 @@ class PolicyPool:
         except (ValueError, KeyError, TypeError, EOFError,
                 zipfile.BadZipFile) as exc:
             raise L2SError(f"{path} is not a snapshot archive: {exc}")
-        pool = cls(dimension)
-        weights = np.zeros(dimension)
+        keys = np.unique(indices)
+        pool = cls(len(keys))
+        weights = np.zeros(len(keys))
         for lo, hi in zip(offsets[1:-1], offsets[2:]):
-            weights[indices[lo:hi]] = values[lo:hi]
-            pool.append(weights, indices[lo:hi])
+            at = np.searchsorted(keys, indices[lo:hi])
+            weights[at] = values[lo:hi]
+            pool.append(weights, at)
+        pool.dimension = dimension
+        pool._entries = [(keys[at], v) for at, v in pool._entries]
         return pool
 
 

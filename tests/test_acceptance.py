@@ -17,6 +17,7 @@ from l2s.sparse import ActionFeatures, SparseFeatures
 from l2s.tasks import gen_multiclass, gen_sequences, gen_trees
 from l2s.theory.exact import ExactModelTask
 from l2s.trainer import RolloutPlan
+from oracles import longest_snake_bruteforce
 
 
 def report(num, ok, detail):
@@ -104,7 +105,7 @@ def test_criterion_5_exponential_descent_lower_bound():
     detail = [f"T=3: {updates3} updates along {'->'.join(bits)}"]
     for dim in (4, 5):
         snake = theory.longest_snake(dim)
-        oracle_len = len(theory.longest_snake_bruteforce(dim)) - 1
+        oracle_len = len(longest_snake_bruteforce(dim)) - 1
         costs = theory.snake_costs(snake, dim)
         walk = theory.best_neighbor_descent(costs, snake[0], dim)
         strict = all(costs[v] < costs[u] for u, v in zip(walk, walk[1:]))
@@ -145,8 +146,8 @@ def test_criterion_7_strategy_grid_orderings():
     t0 = time.time()
     checks = []
 
-    def grid_for(kind, records, meta, quality, seed=2):
-        ds = Dataset(kind, records, meta)
+    def grid_for(kind, records, size, quality, seed=2):
+        ds = Dataset(kind, records, size)
         tr, te = split_dataset(ds)
         cfg = build_config({"task": kind, "reference_quality": quality,
                             "passes": "5", "seed": str(seed)})
@@ -168,18 +169,18 @@ def test_criterion_7_strategy_grid_orderings():
         return lm <= best + 0.02 * abs(best) + 1e-12, best, lm
 
     mc = gen_multiclass(2000, seed=3)
-    meta = {"label_count": len(mc[0][1])}
-    rep = grid_for("multiclass", mc, meta, "bad")
+    size = len(mc[0][1])
+    rep = grid_for("multiclass", mc, size, "bad")
     ok, rr, vals = learned_beats_ref_ref(rep)
     checks.append((ok, f"multiclass/bad: ref-ref {rr:.3f} vs learned row "
                        f"{[round(v, 3) for v in vals]}"))
-    rep = grid_for("multiclass", mc, meta, "optimal")
+    rep = grid_for("multiclass", mc, size, "optimal")
     ok, best, lm = lm_within_2pct_of_best(rep)
     checks.append((ok, f"multiclass/optimal: L/M {lm:.3f} vs best {best:.3f}"))
 
     seqs = gen_sequences(500, seed=3)
     tag_count = 1 + max(t for _, tags in seqs for t in tags)
-    rep = grid_for("sequence", seqs, {"tag_count": tag_count}, "optimal")
+    rep = grid_for("sequence", seqs, tag_count, "optimal")
     cells = [c.value for c in rep.cells]
     band = max(cells) - min(cells)
     checks.append((band <= 0.02,
@@ -188,7 +189,7 @@ def test_criterion_7_strategy_grid_orderings():
     checks.append((ok, f"sequence/optimal: L/M {lm:.3f} vs best {best:.3f}"))
 
     trees = gen_trees(300, seed=3)
-    rep = grid_for("parse", trees, {}, "bad")
+    rep = grid_for("parse", trees, None, "bad")
     ok, rr, vals = learned_beats_ref_ref(rep)
     checks.append((ok, f"parse/bad: ref-ref {rr:.3f} vs learned row "
                        f"{[round(v, 3) for v in vals]}"))
@@ -231,7 +232,7 @@ def test_criterion_8_gradient_and_reproducibility(tmp_path):
     # (b) identical (config, seed) training runs produce byte-identical
     # model files
     records = gen_multiclass(80, seed=4)
-    ds = Dataset("multiclass", records, {"label_count": len(records[0][1])})
+    ds = Dataset("multiclass", records, len(records[0][1]))
     plan = RolloutPlan(roll_in="learned", roll_out="mixture", beta=0.5,
                        seed=9)
     blobs = []

@@ -706,6 +706,26 @@ def test_eval_history_refuses_a_dense_snapshots_archive(runner, tmp_path):
     assert "dense `snapshots` rows" in r.output
 
 
+@pytest.mark.parametrize("dimension", [2**44, 2**62])
+def test_eval_history_of_a_huge_dimension_exits_one(runner, tmp_path, dimension):
+    # the archive's header declares the dimension; loading it allocates
+    # by the entries it holds, and `eval` then refuses the mismatch
+    from l2s import experiment
+    data = gen(runner, tmp_path, "sequence", 5, "seq.tsv")
+    history = tmp_path / "history.npz"
+    pool_archive(dimension=dimension)(history)
+    task = experiment.task_dimension(experiment.load_dataset("sequence", data))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    r = subprocess.run([sys.executable, "-m", "l2s.cli", "eval", "--task",
+                        "sequence", "--data", str(data), "--history",
+                        str(history)], env={**os.environ, "PYTHONPATH": src},
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 1, (r.stdout, r.stderr)
+    assert (r.stdout, r.stderr) == (
+        "", f"error: model dimension {dimension} != task {task}\n")
+    assert "Traceback" not in r.stderr
+
+
 def test_eval_model_and_history_together_exits_one(runner, tmp_path):
     model, history = tmp_path / "m.model", tmp_path / "history.npz"
     model.write_bytes(b"")

@@ -191,12 +191,12 @@ def test_feature_cache_carries_nothing_between_runs(kind):
     # one grid trained straight after the task's feature cache is
     # cleared, then again with it warm: the same model bytes
     if kind == "sequence":
-        module, meta = sequence, {"tag_count": 5}
+        module, size = sequence, 5
         records = gen_sequences(12, 4)
     else:
-        module, meta = parse, {}
+        module, size = parse, None
         records = gen_trees(12, 4)
-    dataset = Dataset(kind, [tuple(r) for r in records], meta)
+    dataset = Dataset(kind, [tuple(r) for r in records], size)
     module._features.cache_clear()
     cold = grid_weights(dataset)
     assert module._features.cache_info().currsize > 0

@@ -153,3 +153,97 @@ def test_history_archive_and_averaged_eval(tmp_path, monkeypatch):
     assert (snapshots.shape, str(snapshots.dtype),
             hashlib.sha256(snapshots.tobytes()).hexdigest(),
             r.output) == HISTORY_CASE
+
+
+# `l2s gen-data --count 10 --seed 2`: the sha256 of the file it writes
+GEN_DATA_CASES = {
+    "multiclass": "a7d3d8c0224adc943d325f4764006f2e112602fb27ec116ab28efd9a7b57d626",
+    "parse": "e243db28df9ed8ef5d69ed7b017a501418ba5c47f9ed740b8ca19668bbe20094",
+    "sequence": "5b1fcee5d9c32a2ea70c3568573f86da8125fdeeb130e8ac068f766a636342b9",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GEN_DATA_CASES))
+def test_gen_data_digest(tmp_path, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    r = CliRunner().invoke(cli.main, [
+        "gen-data", "--task", kind, "--count", "10", "--seed", "2",
+        "--out", "data.txt"])
+    assert r.exit_code == 0, r.output
+    assert (sha256("data.txt"), r.output) == (
+        GEN_DATA_CASES[kind], f"10 {kind} instances -> data.txt\n")
+
+
+def write_held_out(path, kind):
+    """A held-out file for `kind`: for sequence, 6 sentences of a 4-tag
+    HMM, so it lacks the top tag of the 5-tag training data."""
+    if kind == "sequence":
+        write_sentences(path, [(toks, tags, None) for toks, tags
+                               in synth.gen_sequences(6, 3, tag_count=4)])
+    else:
+        write_data(path, kind, 6, 3)
+
+
+GRID_CASES = {
+    # case: (kind, instances, data seed, held-out file or not,
+    #        sha256 of the --out JSON, sha256 of stdout); --passes 1 --seed 4
+    "multiclass": ("multiclass", 30, 5, False,
+                   "b7f9af715983c298b21977b20a801a90255bb7b4410e1f3461ef8aa7069c026f",
+                   "f26116a9f87c177f1dfea4789aba6f867d514912a935288f54d7640269b598c1"),
+    "parse": ("parse", 10, 5, False,
+              "ca9671e55ba0a0bf8ad1db6c901ceb7684e2078248dc556c465c45fdef9faa96",
+              "59f2d311fcfcad6ce30896afae95794c75d693b122c3f31f4860ad39e39decf0"),
+    "sequence": ("sequence", 10, 5, False,
+                 "45e906066f35103fe8341054c03ade2e84f9c0295a117b59af7e1a58013025eb",
+                 "153ebd7427e5152395c767113d66844706443b6dafb1256e44862e7934983099"),
+    "sequence-held-out": ("sequence", 10, 5, True,
+                          "85f4a4c8f7bab7ab867f3f12af31a1196b286864f07d51b4833e8d68ca600fa9",
+                          "fc7ebc59b400fa03c31e361c4c6527a01c7382ae6ead518f433ed0ff9d1636d9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_report_digest(tmp_path, monkeypatch, case):
+    # relative paths: the report carries a hash of the config, and the
+    # config holds the data paths
+    monkeypatch.chdir(tmp_path)
+    kind, count, data_seed, held_out, json_sha, stdout_sha = GRID_CASES[case]
+    write_data("data.txt", kind, count, data_seed)
+    options = []
+    if held_out:
+        write_held_out("test.txt", kind)
+        options = ["--test-data", "test.txt"]
+    r = CliRunner().invoke(cli.main, [
+        "grid", "--task", kind, "--data", "data.txt", *options,
+        "--passes", "1", "--seed", "4", "--out", "grid.json"])
+    assert r.exit_code == 0, r.output
+    assert (sha256("grid.json"),
+            hashlib.sha256(r.output.encode()).hexdigest()) == (json_sha,
+                                                                stdout_sha)
+
+
+EVAL_CASES = {
+    # case: (kind, instances, data seed, scored file, stdout); the model
+    # is trained with --passes 1 --seed 4 on the data file
+    "multiclass": ("multiclass", 30, 5, "data.txt", "avg_cost 0.324304\n"),
+    "parse": ("parse", 10, 5, "data.txt", "uas 0.209302\n"),
+    "sequence": ("sequence", 10, 5, "data.txt", "accuracy 0.202899\n"),
+    # a model trained on 5 tags scores a file of 4
+    "sequence-held-out": ("sequence", 10, 5, "test.txt", "accuracy 0.222222\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVAL_CASES))
+def test_eval_model_output(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    kind, count, data_seed, scored, stdout = EVAL_CASES[case]
+    write_data("data.txt", kind, count, data_seed)
+    write_held_out("test.txt", kind)
+    r = CliRunner().invoke(cli.main, [
+        "train", "--task", kind, "--data", "data.txt", "--passes", "1",
+        "--seed", "4", "--out", "m.model"])
+    assert r.exit_code == 0, r.output
+    r = CliRunner().invoke(cli.main, [
+        "eval", "--task", kind, "--data", scored, "--model", "m.model"])
+    assert r.exit_code == 0, r.output
+    assert r.output == stdout

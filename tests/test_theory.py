@@ -27,13 +27,12 @@ from l2s.theory import (
 from l2s.theory.exact import ExactModelTask
 from l2s.theory.snake import (
     best_neighbor_descent,
-    is_induced_path,
     longest_snake,
-    longest_snake_bruteforce,
     snake_costs,
     snake_lower_bound,
 )
 from l2s.trainer import RolloutPlan
+from oracles import is_induced_path, longest_snake_bruteforce
 
 
 # -- model construction --
