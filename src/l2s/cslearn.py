@@ -7,6 +7,7 @@ eta0 / sqrt(m) where m counts update() calls.
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -97,7 +98,8 @@ class CostSensitiveLearner:
             fh.write(MAGIC)
             fh.write(HEADER.pack(FORMAT_VERSION, self.dimension,
                                  self.eta0, self.updates))
-            fh.write(self.weights.astype("<f8").tobytes())
+            # the weights' own buffer: no copy where float64 is little-endian
+            fh.write(self.weights.astype("<f8", copy=False))
 
     @classmethod
     def load(cls, path):
@@ -112,11 +114,15 @@ class CostSensitiveLearner:
             if version != FORMAT_VERSION:
                 raise L2SError(f"model format version {version}, "
                                f"expected {FORMAT_VERSION}")
-            payload = fh.read()
-        if len(payload) != 8 * d:
-            raise L2SError(f"model holds {len(payload)} weight bytes, "
+            # sized from the file before anything is allocated, so a header
+            # declaring more weights than the file holds allocates nothing
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload == 8 * d:
+                w = np.empty(d, dtype="<f8")
+                payload = fh.readinto(w)
+        if payload != 8 * d:
+            raise L2SError(f"model holds {payload} weight bytes, "
                            f"header says {d} weights")
-        w = np.frombuffer(payload, dtype="<f8").copy()
         if not np.all(np.isfinite(w)):
             raise L2SError("model has non-finite weights")
         learner = cls(d, eta0)

@@ -8,16 +8,19 @@ boundary marker, the continuation or a context key shows as unequal
 features.
 """
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2s import experiment, rng, sparse
+from l2s import bandit, core, experiment, rng, sparse
+from l2s.errors import L2SError
 from l2s.experiment import Dataset
 from l2s.sparse import ActionFeatures, SparseFeatures, from_pairs, hash_index
-from l2s.tasks import (LabelTreeTask, ParseTask, SequenceTask, gen_sequences,
-                       gen_trees, parse, sequence)
+from l2s.tasks import (LabelTreeTask, ParseTask, SequenceTask, gen_multiclass,
+                       gen_sequences, gen_trees, labeltree, parse, sequence)
 from l2s.trainer import RolloutPlan
 
 
@@ -174,6 +177,120 @@ def test_sequence_tag_count_keys_the_feature_cache():
     assert_matches_oracle(three)
 
 
+def assert_label_tree_cache_counts_its_pairs():
+    cache = labeltree._features
+    assert cache.pairs == sum(len(row) + 1 for _, _, row in cache)
+    assert cache.pairs <= labeltree.PAIR_BOUND
+
+
+def test_label_tree_cache_stays_bounded_and_correct():
+    # rows of 2000 features, then narrow ones, overflow the pair bound;
+    # the first rows again once they have been evicted
+    labeltree._features.clear()
+    width = 2000
+    wide = [[(j, float(r)) for j in range(width)]
+            for r in range(labeltree.PAIR_BOUND // (width + 1) + 3)]
+    narrow = [[(r, 1.0), (r + 1, -0.5)] for r in range(2000)]
+    tasks = ([LabelTreeTask(row, [0.0, 0.0], 2) for row in wide]
+             + [LabelTreeTask(row, [0.0] * 3, 3) for row in narrow])
+    peak = 0
+    for task in tasks + tasks[:3]:
+        assert_matches_oracle(task)
+        assert_label_tree_cache_counts_its_pairs()
+        peak = max(peak, labeltree._features.pairs)
+    assert peak > labeltree.PAIR_BOUND - width - 1
+    # the wide rows were evicted: the first three were built again
+    assert [row for _, _, row in labeltree._features][-1] \
+        == tasks[2].example_features
+
+
+def test_label_tree_row_wider_than_the_bound_is_not_kept(monkeypatch):
+    monkeypatch.setattr(labeltree, "PAIR_BOUND", 10)
+    labeltree._features.clear()
+    # one node each: 5 pairs kept, 21 built and dropped, evicting nothing
+    fits = LabelTreeTask([(j, 1.0) for j in range(4)], [0.0, 0.0], 2)
+    too_wide = LabelTreeTask([(j, 1.0) for j in range(20)], [0.0, 0.0], 2)
+    for task in (fits, too_wide, fits, too_wide):
+        assert_matches_oracle(task)
+        assert_label_tree_cache_counts_its_pairs()
+    assert {row for _, _, row in labeltree._features} == {fits.example_features}
+
+
+def test_label_tree_cache_shares_a_row_across_label_counts():
+    # node (0, 1) is the root under 2 labels and a child under 3 and 8:
+    # one entry, equal to what each task spells out; the three trees
+    # hold 1 + 3 + 7 nodes, 9 of them distinct
+    labeltree._features.clear()
+    row = [(5, 0.25), (9, -1.5), (5, 2.0)]
+    for k in (2, 3, 8, 3, 2):
+        assert_matches_oracle(LabelTreeTask(row, [0.0] * k, k))
+    nodes = [(lo, hi) for lo, hi, _ in labeltree._features]
+    assert len(nodes) == len(set(nodes)) == 9
+    assert_label_tree_cache_counts_its_pairs()
+
+
+@pytest.mark.parametrize("index", [1.0, True, np.float64(1.0), "1", None])
+def test_label_tree_index_that_is_not_an_int_is_refused(index):
+    # 1.0 and True equal 1 and hash alike, but spelled n0_1:f1.0 and
+    # n0_1:fTrue; one cache entry would serve both spellings
+    labeltree._features.clear()
+    task = LabelTreeTask([(1, 0.5)], [0.0, 0.0], 2)
+    assert_matches_oracle(task)
+    with pytest.raises(L2SError, match="feature index .* is not an int"):
+        LabelTreeTask([(index, 0.5)], [0.0, 0.0], 2)
+
+
+def test_label_tree_numpy_int_index_shares_the_int_entry():
+    labeltree._features.clear()
+    plain = LabelTreeTask([(3, 0.5)], [0.0, 0.0], 2)
+    numpy = LabelTreeTask([(np.int64(3), np.float64(0.5))], [0.0, 0.0], 2)
+    assert numpy.example_features == plain.example_features
+    assert_matches_oracle(plain)
+    assert_matches_oracle(numpy)
+    assert len(labeltree._features) == 1
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_label_tree_signed_zero_values_give_one_feature_set(first):
+    # 0.0 == -0.0 and the two hash alike, so they share an entry: the
+    # sum from_pairs starts at 0.0 makes both +0.0 either way
+    labeltree._features.clear()
+    tasks = [LabelTreeTask([(7, v), (8, 1.0)], [0.0, 0.0], 2)
+             for v in (first, -first)]
+    for task in tasks:
+        state = task.start_state()
+        got, want = task.action_features(state), oracle(task, state)
+        assert repr(got) == repr(want)
+        assert all(math.copysign(1.0, v) == 1.0 for _, v in got.shared.pairs)
+    assert len(labeltree._features) == 1
+
+
+def bandit_session(dataset, rounds=300):
+    """The outcomes and final weights of one bandit session, run as
+    `l2s bandit` runs it at seed 5."""
+    state = bandit.BanditState(experiment.task_dimension(dataset),
+                               epsilon=0.3, beta=0.5, seed=5)
+    pick = rng.substream(5, rng.DATA)
+    log = []
+    for round_id in range(rounds):
+        i = int(pick.integers(len(dataset.records)))
+        task = experiment.make_task(dataset, i, normalize_loss=True)
+        reference = task.reference_policy(
+            "bad", seed=rng.derive_seed(5, rng.REFERENCE, round_id))
+        state, outcome = bandit.bandit_step(
+            state, task, lambda end: core.end_loss(task, end), reference)
+        log.append((i, outcome))
+    return log, state.learner.weights.tobytes()
+
+
+def test_bandit_session_is_the_same_cold_and_warm():
+    dataset = Dataset("multiclass", gen_multiclass(40, 6), 8)
+    labeltree._features.clear()
+    cold = bandit_session(dataset)
+    assert len(labeltree._features) > 0
+    assert bandit_session(dataset) == cold
+
+
 def grid_weights(dataset):
     """The weight bytes of the six grid cells, each trained for one pass
     with a bad reference as `experiment.run_grid` trains it at seed 3."""
@@ -186,20 +303,28 @@ def grid_weights(dataset):
     return weights
 
 
-@pytest.mark.parametrize("kind", ["sequence", "parse"])
+@pytest.mark.parametrize("kind", ["sequence", "parse", "multiclass"])
 def test_feature_cache_carries_nothing_between_runs(kind):
     # one grid trained straight after the task's feature cache is
     # cleared, then again with it warm: the same model bytes
     if kind == "sequence":
-        module, size = sequence, 5
+        cache, size = sequence._features, 5
         records = gen_sequences(12, 4)
-    else:
-        module, size = parse, None
+    elif kind == "parse":
+        cache, size = parse._features, None
         records = gen_trees(12, 4)
+    else:
+        cache, size = labeltree._features, 8
+        records = gen_multiclass(12, 4)
     dataset = Dataset(kind, [tuple(r) for r in records], size)
-    module._features.cache_clear()
-    cold = grid_weights(dataset)
-    assert module._features.cache_info().currsize > 0
+    if kind == "multiclass":
+        cache.clear()
+        cold = grid_weights(dataset)
+        assert len(cache) > 0
+    else:
+        cache.cache_clear()
+        cold = grid_weights(dataset)
+        assert cache.cache_info().currsize > 0
     assert grid_weights(dataset) == cold
 
 

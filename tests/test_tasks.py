@@ -363,6 +363,23 @@ def test_degenerate_task_sizes_raise_l2s_error():
         LabelTreeTask([(0, 1.0)], [0.5], label_count=1)
 
 
+def test_label_tree_input_is_checked_when_built():
+    # a short cost vector ended in numpy errors inside the reference and
+    # the trainer, and a non-finite value at the first action_features,
+    # naming a hashed index
+    with pytest.raises(L2SError, match="expected 4 costs"):
+        LabelTreeTask([(0, 1.0)], [0.0, 1.0], 4)
+    with pytest.raises(L2SError, match="expected 2 costs"):
+        LabelTreeTask([(0, 1.0)], [[0.0, 1.0]], 2)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(L2SError, match="non-finite value .* at feature index 3"):
+            LabelTreeTask([(3, value)], [0.0, 1.0], 2)
+    with pytest.raises(L2SError, match="overflow when summed"):
+        LabelTreeTask([(3, 1e308), (4, -1e308)], [0.0, 1.0], 2)
+    with pytest.raises(L2SError, match="feature index 1.0 is not an int"):
+        LabelTreeTask([(1.0, 0.5)], [0.0, 1.0], 2)
+
+
 # -- synthetic data --
 
 def test_generators_are_seeded():
