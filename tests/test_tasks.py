@@ -376,8 +376,6 @@ def test_label_tree_input_is_checked_when_built():
             LabelTreeTask([(3, value)], [0.0, 1.0], 2)
     with pytest.raises(L2SError, match="overflow when summed"):
         LabelTreeTask([(3, 1e308), (4, -1e308)], [0.0, 1.0], 2)
-    with pytest.raises(L2SError, match="feature index 1.0 is not an int"):
-        LabelTreeTask([(1.0, 0.5)], [0.0, 1.0], 2)
 
 
 # -- synthetic data --
