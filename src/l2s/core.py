@@ -7,7 +7,7 @@ start state terminate in exactly `horizon` actions.
 """
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,12 +15,11 @@ from . import rng
 from .errors import L2SError
 
 
-@dataclass(frozen=True)
-class StateRef:
-    """A state in a task's search space.
+class StateRef(NamedTuple):
+    """A state in a task's search space: an immutable, hashable tuple.
 
     `payload` is task-owned and encodes the input plus all prior actions;
-    replaying the same action sequence reproduces an identical payload.
+    replaying the same action sequence reproduces an equal payload.
     """
 
     depth: int

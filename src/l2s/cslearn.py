@@ -79,7 +79,7 @@ class CostSensitiveLearner:
             # w -= lr * 2 * (w.x - c) * x on block b, live indices only
             offset = b * f.shared.dimension
             if b in written:
-                wx = sparse.dot(w, f.shared, offset)
+                wx = sparse.dot(w, f.shared, (b,))[0]
             written.add(b)
             g = 2.0 * lr * (wx - c)
             if not math.isfinite(g):
@@ -125,7 +125,7 @@ class CostSensitiveLearner:
                            f"header says {d} weights")
         if not np.all(np.isfinite(w)):
             raise L2SError("model has non-finite weights")
-        learner = cls(d, eta0)
-        learner.weights = w
-        learner.updates = updates
+        # the weights read are the learner's own: no zero vector first
+        learner = cls.__new__(cls)
+        learner.weights, learner.eta0, learner.updates = w, eta0, updates
         return learner

@@ -1,17 +1,20 @@
 """Sparse feature vectors with a fixed ambient dimension.
 
-Every score and every gradient dot product in l2s is `dot`: an explicit
-left-to-right loop from 0 over Python floats read through a memoryview.
-Builtin `sum()` is deliberately not used: from Python 3.12 it sums
-floats with compensation, so `sum([1e16, 1.0, -1e16])` is 1.0 there and
-0.0 on 3.11, and model files would depend on the interpreter. Numpy
-reductions are not used either: they sum pairwise, in another order,
-and a gather costs more than it saves on states scored only once.
+Every score and every gradient dot product in l2s is `dot`: one call per
+state scores all its blocks, each an explicit left-to-right loop from 0
+over Python floats read through a memoryview. Builtin `sum()` is
+deliberately not used: from Python 3.12 it sums floats with
+compensation, so `sum([1e16, 1.0, -1e16])` is 1.0 there and 0.0 on
+3.11, and model files would depend on the interpreter. Numpy reductions
+are not used either: they sum pairwise, in another order, and a gather
+costs more than it saves on states scored only once. Whether a state's
+blocks fit its dimension is worked out once, when its ActionFeatures is
+built, so `dot` checks no range.
 """
 
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +29,7 @@ TOKEN_CACHE_SIZE = 1 << 14
 FEATURE_CACHE_SIZE = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SparseFeatures:
     """Index/value pairs into a d-dimensional space.
 
@@ -48,16 +51,29 @@ class SparseFeatures:
             last = i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionFeatures:
     """One state's features in the label-dependent block layout: action a
     reads weight blocks[a] * base + i for each pair (i, v) of `shared`,
-    base = shared.dimension. Block ids may repeat.
+    base = shared.dimension. Block ids may repeat. `fits` tells, from
+    construction on, whether every block lies inside `dimension`.
     """
 
     shared: SparseFeatures
     blocks: tuple
     dimension: int
+    fits: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fits", self._outside() is None)
+
+    def _outside(self):
+        """The offset of the first block outside `dimension`, or None."""
+        base = self.shared.dimension
+        for b in self.blocks:
+            if not 0 <= b * base <= self.dimension - base:
+                return b * base
+        return None
 
     def __len__(self):
         return len(self.blocks)
@@ -68,9 +84,12 @@ class ActionFeatures:
         if len(weights) != self.dimension:
             raise L2SError(
                 f"feature dimension {self.dimension} != weights {len(weights)}")
-        w = memoryview(np.asarray(weights, dtype=np.float64))
-        base = self.shared.dimension
-        return [dot(w, self.shared, b * base) for b in self.blocks]
+        if not self.fits:
+            raise L2SError(f"features at {self._outside()} + "
+                           f"[0, {self.shared.dimension}) outside weights "
+                           f"{self.dimension}")
+        return dot(memoryview(np.asarray(weights, dtype=np.float64)),
+                   self.shared, self.blocks)
 
     def weight_indices(self):
         """The weight index blocks[a] * base + i of every action a and
@@ -88,22 +107,25 @@ def from_pairs(pairs, dimension):
     return SparseFeatures(tuple(sorted(acc.items())), dimension)
 
 
-def dot(weights, features, offset=0):
-    """The sum of weights[offset + i] * v over the pairs (i, v), added left
-    to right from 0, with `features` inside `weights`.
+def dot(weights, features, blocks):
+    """For each block b, the sum of weights[b * base + i] * v over the
+    pairs (i, v), base = features.dimension, added left to right from 0:
+    one list of sums, in block order.
 
     Pass a memoryview of float64 weights: its items are Python floats,
     which multiply and add bit for bit as numpy float64 scalars do
-    without boxing each one. The range check runs before any read, as a
-    memoryview would wrap a negative index round to its end.
+    without boxing each one. No range is checked here, and a memoryview
+    wraps a negative index round to its end: pass only the blocks of an
+    ActionFeatures whose `fits` holds.
     """
-    if not 0 <= offset <= len(weights) - features.dimension:
-        raise L2SError(f"features at {offset} + [0, {features.dimension})"
-                       f" outside weights {len(weights)}")
-    total = 0
-    for i, v in features.pairs:
-        total += weights[offset + i] * v
-    return total
+    base, pairs = features.dimension, features.pairs
+    sums = []
+    for b in blocks:
+        offset, total = b * base, 0
+        for i, v in pairs:
+            total += weights[offset + i] * v
+        sums.append(total)
+    return sums
 
 
 def hash_index(key, base):

@@ -67,8 +67,11 @@ def _features(s0, s1, b0, b1, dist, legal):
 class ParseTask(SearchTask):
     """Search space over parser configurations for one sentence.
 
-    State payload: (stack tuple, buffer start index, heads tuple) where
-    heads[i] is the assigned head of token i+1 (0 root, -1 unassigned).
+    State payload: (stack tuple, buffer start index, wrong_so_far, arcs),
+    where wrong_so_far counts the arcs made so far whose head is not the
+    dependent's gold head, and arcs is the last arc made as a
+    (dependent, head, parent) link to the arcs before it (None before
+    the first).
     """
 
     def __init__(self, tokens, gold_heads):
@@ -77,36 +80,44 @@ class ParseTask(SearchTask):
         if self.n < 1:
             raise L2SError("empty sentence")
         self.gold_heads = list(gold_heads)
+        if len(self.gold_heads) != self.n:
+            raise L2SError(f"{len(self.gold_heads)} gold heads for "
+                           f"{self.n} tokens")
+        for head in self.gold_heads:
+            if not 0 <= head <= self.n:
+                raise L2SError(f"gold head {head} outside 0..{self.n}")
         self.base = BASE
         self.horizon = 2 * self.n - 1
         self.dimension = 3 * self.base
 
     def start_state(self):
-        return StateRef(0, ((), 1, (-1,) * self.n))
+        return StateRef(0, ((), 1, 0, None))
 
     def legal_actions(self, state):
         """The transition ids of the live actions, in action order."""
-        stack, buf, _ = state.payload
+        stack, buf, _, _ = state.payload
         return _LEGAL[buf <= self.n, min(len(stack), 2)]
 
     def transition(self, state, action):
-        stack, buf, heads = state.payload
+        depth, (stack, buf, wrong, arcs) = state
         # the slot of `action` in legal_actions(state), in closed form:
         # with a buffer the slots are the transition ids themselves, and
         # without one the only slot is REDUCE_RIGHT
         act = action if buf <= self.n else REDUCE_RIGHT
         if act == SHIFT:
-            return StateRef(state.depth + 1, (stack + (buf,), buf + 1, heads))
-        heads = list(heads)
-        heads[stack[-1] - 1] = buf if act == REDUCE_LEFT else stack[-2]
-        return StateRef(state.depth + 1, (stack[:-1], buf, tuple(heads)))
+            return StateRef(depth + 1, (stack + (buf,), buf + 1, wrong, arcs))
+        dependent = stack[-1]
+        head = buf if act == REDUCE_LEFT else stack[-2]
+        wrong += head != self.gold_heads[dependent - 1]
+        return StateRef(depth + 1,
+                        (stack[:-1], buf, wrong, (dependent, head, arcs)))
 
     def feature_key(self, state):
-        stack, buf, _ = state.payload
+        stack, buf, _, _ = state.payload
         return stack[-2:], buf
 
     def action_features(self, state):
-        stack, buf, _ = state.payload
+        stack, buf, _, _ = state.payload
         n, tokens = self.n, self.tokens
         s0 = stack[-1] if stack else 0
         s1 = stack[-2] if len(stack) >= 2 else 0
@@ -119,16 +130,21 @@ class ParseTask(SearchTask):
                          dist, self.legal_actions(state))
 
     def predicted_heads(self, state):
-        """Heads at an end state; the lone stack survivor attaches to root."""
-        stack, _, heads = state.payload
-        heads = list(heads)
+        """Heads at an end state, -1 where none was made; the lone stack
+        survivor attaches to root."""
+        stack, _, _, arcs = state.payload
+        heads = [-1] * self.n
+        while arcs is not None:
+            dependent, head, arcs = arcs
+            heads[dependent - 1] = head
         if len(stack) == 1:
             heads[stack[0] - 1] = 0
         return heads
 
     def terminal_loss(self, state):
-        pred = self.predicted_heads(state)
-        wrong = sum(1 for p, g in zip(pred, self.gold_heads) if p != g)
+        stack, _, wrong, _ = state.payload
+        if len(stack) == 1:
+            wrong += self.gold_heads[stack[0] - 1] != 0
         return wrong / self.n  # 1 - UAS
 
     def decode(self, state):
@@ -146,7 +162,7 @@ class ParseTask(SearchTask):
         still been an optimal action in every exhaustive check
         (`tests/test_tasks.py`), which is all the optimal reference uses.
         """
-        stack, buf, _ = payload
+        stack, buf, _, _ = payload
         gold = self.gold_heads
         in_buffer = lambda i: buf <= i <= self.n
 

@@ -3,6 +3,7 @@
 import functools
 
 from ..core import SearchTask, SeededReference, StateRef
+from ..errors import L2SError
 from ..sparse import (FEATURE_CACHE_SIZE, TOKEN_CACHE_SIZE, ActionFeatures,
                       SparseFeatures, hash_index)
 
@@ -52,14 +53,24 @@ def _features(previous, token, following, tag, tag_count):
 class SequenceTask(SearchTask):
     """Predict one tag per token, left to right.
 
-    State payload is the tuple of tags predicted so far; the loss of an
-    end state is the Hamming distance to the gold tags (optionally
-    divided by length for bandit use).
+    State payload is (tag, wrong_so_far, parent): the last tag (None at
+    the start), the count of tags so far that differ from gold, and the
+    payload before it (None at the start). The loss of an end state is
+    that count, the Hamming distance to the gold tags (optionally divided
+    by length for bandit use).
     """
 
     def __init__(self, tokens, gold_tags, tag_count, normalize_loss=False):
         self.tokens = list(tokens)
         self.gold_tags = list(gold_tags)
+        if not self.tokens:
+            raise L2SError("empty sentence")
+        if len(self.gold_tags) != len(self.tokens):
+            raise L2SError(f"{len(self.gold_tags)} gold tags for "
+                           f"{len(self.tokens)} tokens")
+        for tag in self.gold_tags:
+            if not 0 <= tag < tag_count:
+                raise L2SError(f"gold tag {tag} outside 0..{tag_count - 1}")
         self.tag_count = tag_count
         self.base = BASE
         self.horizon = len(self.tokens)
@@ -67,26 +78,33 @@ class SequenceTask(SearchTask):
         self.normalize_loss = normalize_loss
 
     def start_state(self):
-        return StateRef(0, ())
+        return StateRef(0, (None, 0, None))
 
     def transition(self, state, action):
-        return StateRef(state.depth + 1, state.payload + (action,))
+        depth, payload = state
+        wrong = payload[1] + (action != self.gold_tags[depth])
+        return StateRef(depth + 1, (action, wrong, payload))
 
     def feature_key(self, state):
-        return state.depth, state.payload[-1] if state.payload else None
+        return state.depth, state.payload[0]
 
     def action_features(self, state):
-        t, tokens, tags = state.depth, self.tokens, state.payload
+        t, tokens = state.depth, self.tokens
         return _features(tokens[t - 1] if t else "<s>", tokens[t],
                          tokens[t + 1] if t + 1 < self.horizon else "</s>",
-                         tags[-1] if tags else None, self.tag_count)
+                         state.payload[0], self.tag_count)
 
     def terminal_loss(self, state):
-        wrong = sum(1 for p, g in zip(state.payload, self.gold_tags) if p != g)
+        wrong = state.payload[1]
         return wrong / self.horizon if self.normalize_loss else float(wrong)
 
     def decode(self, state):
-        return list(state.payload)
+        tags = []
+        tag, _, parent = state.payload
+        while parent is not None:
+            tags.append(tag)
+            tag, _, parent = parent
+        return tags[::-1]
 
     def reference_policy(self, quality="optimal", seed=0):
         return SequenceReference(self, quality, seed)

@@ -54,7 +54,7 @@ def test_execute_counts_steps():
     pol = core.LinearPolicy(np.zeros(task.dimension))
     s = core.execute(task, pol, task.start_state(), 2)
     assert s.depth == 2
-    assert len(s.payload) == 2
+    assert len(task.decode(s)) == 2
 
 
 def test_execute_past_horizon():

@@ -3,6 +3,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,23 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.weights, learner.weights)
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_load_holds_one_copy_of_the_weights(tmp_path):
+    # a tagging-size model, 5 x 2**15 weights (1.31 MB): the load's traced
+    # peak is the array it reads, with no zero vector built beside it
+    learner = CostSensitiveLearner(5 << 15)
+    learner.weights[:] = np.random.default_rng(2).normal(size=5 << 15)
+    path = tmp_path / "m.model"
+    learner.save(path)
+    tracemalloc.start()
+    try:
+        loaded = CostSensitiveLearner.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.weights, learner.weights)
+    assert learner.weights.nbytes <= peak < 1.2 * learner.weights.nbytes
 
 
 def test_load_rejects_bad_magic(tmp_path):

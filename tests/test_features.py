@@ -24,7 +24,7 @@ from l2s.tasks import (LabelTreeTask, ParseTask, SequenceTask, gen_multiclass,
 from l2s.trainer import RolloutPlan
 
 
-def sequence_keys(task, state):
+def sequence_keys(task, state, path):
     t = state.depth
     tok = task.tokens[t]
     return [
@@ -34,12 +34,26 @@ def sequence_keys(task, state):
         "s2=" + tok[-2:],
         "wm1=" + (task.tokens[t - 1] if t > 0 else "<s>"),
         "wp1=" + (task.tokens[t + 1] if t + 1 < task.horizon else "</s>"),
-        "tm1=" + (str(state.payload[-1]) if state.payload else "<s>"),
+        "tm1=" + (str(path[-1]) if path else "<s>"),
     ]
 
 
-def parse_keys(task, state):
-    stack, buf, _ = state.payload
+def arc_hybrid_configuration(task, path):
+    """The stack and buffer front that the slots `path` reach by the
+    arc-hybrid rules: with a buffer a slot is its transition id (shift,
+    reduce left, reduce right), and without one the only slot reduces
+    right."""
+    stack, buf = (), 1
+    for slot in path:
+        if buf <= task.n and slot == 0:
+            stack, buf = stack + (buf,), buf + 1
+        else:
+            stack = stack[:-1]
+    return stack, buf
+
+
+def parse_keys(task, path):
+    stack, buf = arc_hybrid_configuration(task, path)
 
     def token(i):
         return task.tokens[i - 1] if 1 <= i <= task.n else "<none>"
@@ -66,8 +80,11 @@ def parse_keys(task, state):
     ]
 
 
-def oracle(task, state):
-    """The state's ActionFeatures built from its spelled-out keys."""
+def oracle(task, state, path=()):
+    """The ActionFeatures of `state`, which the actions `path` reach,
+    built from its spelled-out keys. A label-tree node is read from the
+    state; a sequence's last tag and a parser's stack and buffer from
+    `path`."""
     if isinstance(task, LabelTreeTask):
         lo, hi = state.payload
         node = f"n{lo}_{hi}"
@@ -77,30 +94,40 @@ def oracle(task, state):
         return ActionFeatures(from_pairs(pairs, task.base),
                               tuple(range(2 if lo < hi else 1)), task.dimension)
     if isinstance(task, SequenceTask):
-        keys, blocks = sequence_keys(task, state), tuple(range(task.tag_count))
+        keys, blocks = sequence_keys(task, state, path), tuple(range(task.tag_count))
     else:
-        keys, blocks = parse_keys(task, state), tuple(task.legal_actions(state))
+        keys, blocks = parse_keys(task, path), tuple(task.legal_actions(state))
     idx = sorted({hash_index(k, task.base) for k in keys})
     return ActionFeatures(SparseFeatures(tuple((i, 1.0) for i in idx), task.base),
                           blocks, task.dimension)
 
 
 def reachable_states(task):
-    """Every state below the horizon, each action from each state tried."""
-    frontier, out = [task.start_state()], []
+    """Every state below the horizon with the actions that reach it, each
+    action from each state tried."""
+    frontier, out = [(task.start_state(), ())], []
     while frontier:
-        state = frontier.pop()
+        state, path = frontier.pop()
         if state.depth == task.horizon:
             continue
-        out.append(state)
-        frontier += [task.transition(state, a)
+        out.append((state, path))
+        frontier += [(task.transition(state, a), path + (a,))
                      for a in range(len(task.action_features(state)))]
     return out
 
 
-def assert_matches_oracle(task, states=None):
-    for state in reachable_states(task) if states is None else states:
-        assert task.action_features(state) == oracle(task, state)
+def along(task, path):
+    """The (state, actions so far) pair of every prefix of `path`, which
+    stays below the horizon."""
+    out = [(task.start_state(), ())]
+    for depth, action in enumerate(path, 1):
+        out.append((task.transition(out[-1][0], action), path[:depth]))
+    return out
+
+
+def assert_matches_oracle(task, reached=None):
+    for state, path in reachable_states(task) if reached is None else reached:
+        assert task.action_features(state) == oracle(task, state, path)
 
 
 # short tokens, non-ASCII ones, and the spellings of the boundary markers
@@ -138,12 +165,9 @@ def test_crc_continuation_equals_the_whole_key(prefix, suffix, base):
 
 
 def first_action_path(task):
-    """The states below the horizon along the trajectory that always
-    takes slot 0."""
-    states = [task.start_state()]
-    while states[-1].depth + 1 < task.horizon:
-        states.append(task.transition(states[-1], 0))
-    return states
+    """The states below the horizon, with their actions, along the
+    trajectory that always takes slot 0."""
+    return along(task, (0,) * (task.horizon - 1))
 
 
 def test_token_caches_stay_bounded_and_correct():
@@ -331,7 +355,4 @@ def test_feature_cache_carries_nothing_between_runs(kind):
 def test_sequence_tag_beyond_the_file_bound_builds_features():
     # load_dataset stops a tag of 256 or more; the API does not
     task = SequenceTask(["a", "b", "c", "d"], [300, 255, 256, 0], tag_count=301)
-    states = [task.start_state()]
-    for tag in (300, 255, 256):
-        states.append(task.transition(states[-1], tag))
-    assert_matches_oracle(task, states)
+    assert_matches_oracle(task, along(task, (300, 255, 256)))

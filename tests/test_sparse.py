@@ -1,9 +1,14 @@
 """ActionFeatures against the materialised per-action layout it replaces."""
 
+import dataclasses
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from l2s import core, theory
+from l2s import core, sparse, theory
 from l2s.cslearn import CostSensitiveExample, CostSensitiveLearner
 from l2s.errors import L2SError
 from l2s.sparse import ActionFeatures, SparseFeatures
@@ -169,3 +174,63 @@ def test_sparse_features_refuse_bad_pairs(pairs):
     with pytest.raises(L2SError, match=r"out of order or outside \[0, 4\)"
                                        "|non-finite value at index 1"):
         SparseFeatures(pairs, 4)
+
+
+# values whose sums depend on the order they are added in, signed zeros,
+# and any other finite float
+VALUES = st.one_of(st.sampled_from([1e16, 1.0, -1e16, 0.0, -0.0, 5e-324]),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def features_and_weights(draw):
+    base = draw(st.integers(1, 6))
+    n_blocks = draw(st.integers(1, 4))
+    idx = draw(st.lists(st.integers(0, base - 1), unique=True, max_size=base))
+    pairs = tuple((i, draw(VALUES)) for i in sorted(idx))
+    # repeated blocks, and blocks in any order
+    blocks = tuple(draw(st.lists(st.integers(0, n_blocks - 1), max_size=6)))
+    weights = draw(st.lists(VALUES, min_size=n_blocks * base,
+                            max_size=n_blocks * base))
+    return ActionFeatures(SparseFeatures(pairs, base), blocks,
+                          n_blocks * base), np.array(weights)
+
+
+@settings(max_examples=300, deadline=None)
+@given(features_and_weights())
+def test_dot_over_blocks_equals_each_block_summed_left_to_right(case):
+    f, w = case
+    base = f.shared.dimension
+    want = [functools.reduce(operator.add, [w[b * base + i] * v
+                                            for i, v in f.shared.pairs], 0)
+            for b in f.blocks]
+    got = sparse.dot(memoryview(w), f.shared, f.blocks)
+    assert bits(got) == bits(want)
+    assert bits(f.scores(w)) == bits(want)
+    for b in set(f.blocks):
+        assert bits(sparse.dot(memoryview(w), f.shared, (b,))) == \
+            bits([want[f.blocks.index(b)]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12),
+       st.lists(st.integers(-3, 5), max_size=4))
+def test_fits_is_every_block_inside_the_dimension(base, dimension, blocks):
+    f = ActionFeatures(SparseFeatures(((0, 1.0),), base), tuple(blocks),
+                       dimension)
+    assert f.fits == all(0 <= b and (b + 1) * base <= dimension
+                         for b in blocks)
+    if not f.fits:
+        with pytest.raises(L2SError, match="outside weights"):
+            f.scores(np.zeros(dimension))
+
+
+def test_feature_objects_hold_no_instance_dict():
+    # the feature caches hold many of them: slots, and `fits` is no field
+    # of equality, so features equal in content compare equal
+    f = ActionFeatures(SparseFeatures(((0, 1.0),), 2), (0, 1), 4)
+    for obj in (f, f.shared):
+        assert not hasattr(obj, "__dict__")
+    assert f == ActionFeatures(SparseFeatures(((0, 1.0),), 2), (0, 1), 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.fits = False

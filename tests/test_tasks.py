@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l2s import core, rng, theory
 from l2s.errors import DataFormatError, L2SError
@@ -78,6 +79,14 @@ def assert_reference_is_optimal(task, seed=0):
             min_reachable_loss(task, s)), f"suboptimal at {s}"
 
 
+def reach(task, actions):
+    """The state that `actions` reach from the start."""
+    state = task.start_state()
+    for a in actions:
+        state = task.transition(state, a)
+    return state
+
+
 def small_tasks(kind):
     """Small instances of one task kind, enumerable state by state."""
     if kind == "sequence":
@@ -117,16 +126,16 @@ def test_sequence_shapes_and_loss():
     assert action_count(task, s) == 3
     feats = task.action_features(s)
     assert len(feats) == 3
-    end = core.StateRef(3, (0, 1, 0))
+    end = reach(task, (0, 1, 0))
     assert task.terminal_loss(end) == 1.0
     assert 0.0 <= task.terminal_loss(end) <= task.horizon
 
 
 def test_sequence_normalized_loss():
     task = SequenceTask(["aa", "bb"], [0, 0], tag_count=2, normalize_loss=True)
-    end = core.StateRef(2, (1, 1))
+    end = reach(task, (1, 1))
     assert task.terminal_loss(end) == 1.0
-    end = core.StateRef(2, (1, 0))
+    end = reach(task, (1, 0))
     assert task.terminal_loss(end) == 0.5
 
 
@@ -260,9 +269,11 @@ def test_parse_trajectory_length_and_legality():
         for s in all_reachable_states(task):
             if s.depth < task.horizon:
                 assert action_count(task, s) >= 1
-            stack, buf, hd = s.payload
-            assert len([h for h in hd if h != -1]) + len(stack) + \
-                (n - buf + 1) == n
+            stack, buf, _, arcs = s.payload
+            made = 0
+            while arcs is not None:
+                made, arcs = made + 1, arcs[2]
+            assert made + len(stack) + (n - buf + 1) == n
 
 
 def test_parse_two_token_oracle():
@@ -330,27 +341,30 @@ def test_parse_transition_takes_the_slots_legal_action():
     # transition maps a slot to its transition id in closed form; check it
     # against legal_actions and the arc-hybrid rules on every reachable
     # (state, slot) pair of 40 sentences
-    def arc_hybrid(payload, act):
-        stack, buf, heads = payload
+    def arc_hybrid(task, payload, act):
+        stack, buf, wrong, arcs = payload
         if act == 0:  # Shift
-            return stack + (buf,), buf + 1, heads
-        heads = list(heads)
-        heads[stack[-1] - 1] = buf if act == 1 else stack[-2]
-        return stack[:-1], buf, tuple(heads)
+            return stack + (buf,), buf + 1, wrong, arcs
+        dependent, head = stack[-1], buf if act == 1 else stack[-2]
+        wrong += head != task.gold_heads[dependent - 1]
+        return stack[:-1], buf, wrong, (dependent, head, arcs)
 
+    # a configuration is its stack, buffer and heads: arcs made in another
+    # order reach the same one, and it is expanded once
     pairs = 0
     for tokens, heads in gen_trees(40, 3, min_len=1, max_len=6):
         task = ParseTask(tokens, heads)
         frontier, seen = [task.start_state()], set()
         while frontier:
             s = frontier.pop()
-            if s in seen or s.depth == task.horizon:
+            configuration = s.payload[:2], tuple(task.predicted_heads(s))
+            if configuration in seen or s.depth == task.horizon:
                 continue
-            seen.add(s)
+            seen.add(configuration)
             for slot, act in enumerate(task.legal_actions(s)):
                 nxt = task.transition(s, slot)
                 assert nxt == core.StateRef(s.depth + 1,
-                                            arc_hybrid(s.payload, act))
+                                            arc_hybrid(task, s.payload, act))
                 frontier.append(nxt)
                 pairs += 1
     assert pairs == 22950
@@ -361,6 +375,67 @@ def test_degenerate_task_sizes_raise_l2s_error():
         ParseTask([], [])
     with pytest.raises(L2SError, match="need at least 2 labels"):
         LabelTreeTask([(0, 1.0)], [0.5], label_count=1)
+
+
+def test_gold_labels_are_checked_when_built():
+    # an empty tagged sentence ended in ZeroDivisionError under
+    # normalize_loss, a short gold list trained with loss 0.0, a tag past
+    # the tag count trained on all-zero cost vectors, a short head list
+    # ended in IndexError, and a head past the sentence trained
+    with pytest.raises(L2SError, match="empty sentence"):
+        SequenceTask([], [], 3, normalize_loss=True)
+    for gold in ([0], [0, 1, 2]):
+        with pytest.raises(L2SError, match=f"{len(gold)} gold tags for 2 tokens"):
+            SequenceTask(["a", "b"], gold, 3)
+    for tag in (3, -1):
+        with pytest.raises(L2SError, match=rf"gold tag {tag} outside 0\.\.2"):
+            SequenceTask(["a", "b"], [0, tag], 3)
+    with pytest.raises(L2SError, match="2 gold heads for 3 tokens"):
+        ParseTask(["a", "b", "c"], [2, 0])
+    for head in (7, -1):
+        with pytest.raises(L2SError, match=rf"gold head {head} outside 0\.\.2"):
+            ParseTask(["a", "b"], [head, 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_sequence_carried_loss_equals_the_decoded_loss(data, normalize):
+    n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+    gold = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    task = SequenceTask([f"w{i}" for i in range(n)], gold, k,
+                        normalize_loss=normalize)
+    state, tags = task.start_state(), []
+    while state.depth < task.horizon:
+        tags.append(data.draw(st.integers(0, k - 1)))
+        state = task.transition(state, tags[-1])
+        assert task.decode(state) == tags
+    wrong = sum(p != g for p, g in zip(tags, gold))
+    assert task.terminal_loss(state) == (wrong / n if normalize
+                                         else float(wrong))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parse_carried_loss_equals_the_decoded_loss(data):
+    # any gold heads in 0..n, trees or not; the heads are replayed here by
+    # the arc-hybrid rules from the transition ids taken
+    n = data.draw(st.integers(1, 7))
+    gold = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    task = ParseTask(["w"] * n, gold)
+    state, stack, buf, heads = task.start_state(), [], 1, [-1] * n
+    while state.depth < task.horizon:
+        legal = task.legal_actions(state)
+        slot = data.draw(st.integers(0, len(legal) - 1))
+        if legal[slot] == 0:
+            stack, buf = stack + [buf], buf + 1
+        else:
+            dependent = stack.pop()
+            heads[dependent - 1] = buf if legal[slot] == 1 else stack[-1]
+        state = task.transition(state, slot)
+    heads[stack[0] - 1] = 0
+    assert task.decode(state) == heads
+    wrong = sum(p != g for p, g in zip(heads, gold))
+    assert task.terminal_loss(state) == wrong / n
 
 
 def test_label_tree_input_is_checked_when_built():
