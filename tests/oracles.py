@@ -120,3 +120,80 @@ def lols(dataset, plan, passes, quality="optimal", eta0=0.5, seed=None):
                     for j, v in feats.shared.pairs:
                         w[b * base + j] -= g * v
     return w
+
+
+def bandit(dataset, rounds, epsilon, beta=0.5, seed=0, eta0=0.5):
+    """The weights an `l2s bandit` session ends with, as a list of
+    floats, and each round's (mode, instance, loss, t, action, k,
+    rollout), the last four None in an exploit round, computed from task
+    methods, their reference policies and `rng` substreams only.
+
+    Per round: an instance drawn from the DATA stream and a 'bad'
+    reference seeded by (seed, REFERENCE, round). With probability
+    epsilon (one EXPLORATION draw) the round explores: roll in with the
+    current weights to a depth t, take an action a_t among the k there
+    (t and a_t from EXPLORATION), finish with the reference with
+    probability beta, else the current weights (one MIXTURE draw), and
+    take one CSOAA step on the cost vector K * loss at a_t, zero
+    elsewhere; the weights after it join the snapshots. Otherwise it
+    exploits: follow a snapshot drawn from AVERAGING, the zero vector
+    first among them. Every sum runs left to right from 0.
+    """
+    w = [0.0] * make_task(dataset, 0).dimension
+    snapshots = [list(w)]
+    pick = rng.substream(seed, rng.DATA)
+    explore = rng.substream(seed, rng.EXPLORATION)
+    coins = rng.substream(seed, rng.MIXTURE)
+    average = rng.substream(seed, rng.AVERAGING)
+    steps = 0
+
+    def score(weights, feats, block):
+        base, total = feats.shared.dimension, 0.0
+        for i, v in feats.shared.pairs:
+            total += weights[block * base + i] * v
+        return total
+
+    def follow(weights):
+        def choose(task, state):
+            feats = task.action_features(state)
+            scores = [score(weights, feats, b) for b in feats.blocks]
+            return scores.index(min(scores))
+        return choose
+
+    def walk(task, state, choose, depth):
+        while state.depth < depth:
+            state = task.transition(state, choose(task, state))
+        return state
+
+    records = []
+    for r in range(rounds):
+        i = int(pick.integers(len(dataset.records)))
+        task = make_task(dataset, i, normalize_loss=True)
+        ref = task.reference_policy(
+            "bad", seed=rng.derive_seed(seed, rng.REFERENCE, r)).choose
+        if explore.random() >= epsilon:
+            weights = snapshots[int(average.integers(len(snapshots)))]
+            end = walk(task, task.start_state(), follow(weights), task.horizon)
+            records.append(("exploited", i, task.terminal_loss(end),
+                            None, None, None, None))
+            continue
+        t = int(explore.integers(task.horizon))
+        state = walk(task, task.start_state(), follow(w), t)
+        feats = task.action_features(state)
+        k = len(feats.blocks)
+        taken = int(explore.integers(k))
+        kind = "reference" if coins.random() < beta else "learned"
+        out = ref if kind == "reference" else follow(w)
+        end = walk(task, task.transition(state, taken), out, task.horizon)
+        loss = task.terminal_loss(end)
+        records.append(("explored", i, loss, t, taken, k, kind))
+        steps += 1
+        lr = eta0 / math.sqrt(steps)
+        base = feats.shared.dimension
+        for a, b in enumerate(feats.blocks):
+            c = k * loss if a == taken else 0.0
+            g = 2.0 * lr * (score(w, feats, b) - c)
+            for j, v in feats.shared.pairs:
+                w[b * base + j] -= g * v
+        snapshots.append(list(w))
+    return w, records
