@@ -14,10 +14,10 @@ from functools import partial
 import numpy as np
 
 from . import core, rng
-from .cslearn import CostSensitiveExample, CostSensitiveLearner
+from .cslearn import CostSensitiveExample
 from .errors import L2SError
 from .theory import exact as ex
-from .trainer import AveragedPolicy, PolicyPool, RolloutPlan, complete_deviation
+from .trainer import AveragedPolicy, RolloutPlan, Trainer, complete_deviation
 
 
 @dataclass
@@ -28,26 +28,28 @@ class BanditOutcome:
     exploration_record: dict = None
 
 
-class BanditState:
-    """Mutable bandit session: learner, explored-policy pool, RNG streams."""
+class BanditState(Trainer):
+    """Mutable bandit session: a learned roll-in, mixture roll-out
+    Trainer, its epsilon, and its exploration and averaging streams."""
 
     def __init__(self, dimension, epsilon=0.1, beta=0.5, seed=0, eta0=0.5):
         if not 0.0 <= epsilon <= 1.0:
             raise L2SError(f"epsilon {epsilon} outside [0, 1]")
+        super().__init__(dimension, RolloutPlan("learned", "mixture", beta,
+                                                seed), eta0)
         self.epsilon = epsilon
-        self.learner = CostSensitiveLearner(dimension, eta0)
-        # the initial policy, then one snapshot per explore round
-        self.explored_policies = PolicyPool(dimension)
         self.explore_rng = rng.substream(seed, rng.EXPLORATION)
-        self.mixture_rng = rng.substream(seed, rng.MIXTURE)
         self.average_rng = rng.substream(seed, rng.AVERAGING)
-        self._plan = RolloutPlan(roll_in="learned", roll_out="mixture",
-                                 beta=beta, seed=seed)
+
+    @property
+    def explored_policies(self):
+        """The history: the initial policy, then one per explore round."""
+        return self.history
 
     @property
     def n_explore(self):
-        """Explore rounds so far: the pool's snapshots after the initial one."""
-        return len(self.explored_policies) - 1
+        """Explore rounds so far."""
+        return self.examples_seen
 
 
 def importance_weighted_costs(k, taken, loss):
@@ -65,7 +67,7 @@ def bandit_step(state, task, loss_oracle, reference):
     """
     if state.explore_rng.random() < state.epsilon:
         return _explore(state, task, loss_oracle, reference)
-    policy = AveragedPolicy(state.explored_policies, state.average_rng).sample()
+    policy = AveragedPolicy(state.history, state.average_rng).sample()
     traj_end = core.execute(task, policy, task.start_state(), task.horizon)
     loss = _checked_loss(loss_oracle, traj_end)
     return state, BanditOutcome(mode="exploited",
@@ -80,24 +82,24 @@ def _checked_loss(loss_oracle, end_state):
     return loss
 
 
-def exploration_step(task, latest, reference, loss, explore_rng, mixture_rng,
-                     plan):
+def exploration_step(state, task, latest, reference, loss):
     """One exploration draw; returns (features of s_t, end state, record).
 
     Rolls in with `latest` to a uniform depth t, takes a uniform action
     a_t among the k blocks of `task.action_features(s_t)` (t and a_t both
-    from `explore_rng`), completes with `plan`'s mixture of `reference`
-    and `latest` (one draw from `mixture_rng`) and records t, a_t, k,
-    `loss(end)`, the roll-out kind and the weighted costs.
+    from `state.explore_rng`), completes with `state.plan`'s mixture of
+    `reference` and `latest` (one draw from `state.mixture_rng`) and
+    records t, a_t, k, `loss(end)`, the roll-out kind and the weighted
+    costs.
     """
-    t = int(explore_rng.integers(task.horizon))
+    t = int(state.explore_rng.integers(task.horizon))
     s_t = core.execute(task, latest, task.start_state(), t)
     features = task.action_features(s_t)
     k = len(features)
-    a_t = int(explore_rng.integers(k))
+    a_t = int(state.explore_rng.integers(k))
 
-    end, out_policy = complete_deviation(task, s_t, a_t, plan, reference,
-                                         latest, mixture_rng)
+    end, out_policy = complete_deviation(task, s_t, a_t, state.plan,
+                                         reference, latest, state.mixture_rng)
     observed = loss(end)
     return features, end, {
         "t": t, "action": a_t, "k": k, "loss": observed,
@@ -109,12 +111,9 @@ def _explore(state, task, loss_oracle, reference):
     # the latest policy reads the live weights, not a copy: the update
     # runs only after its roll-in and roll-out are done
     features, end, record = exploration_step(
-        task, core.LinearPolicy(state.learner.weights), reference,
-        partial(_checked_loss, loss_oracle), state.explore_rng,
-        state.mixture_rng, state._plan)
-    state.learner.update(CostSensitiveExample(features, record["costs"]))
-    state.explored_policies.append(state.learner.weights,
-                                   features.weight_indices())
+        state, task, core.LinearPolicy(state.learner.weights), reference,
+        partial(_checked_loss, loss_oracle))
+    state.learn([CostSensitiveExample(features, record["costs"])])
     return state, BanditOutcome(mode="explored",
                                 prediction=task.decode(end),
                                 observed_loss=record["loss"],
@@ -149,15 +148,11 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
             exact_value += p * q / T
     # simulation side: the bandit's own exploration step, never updating
     latest = core.LinearPolicy(latest_weights)
-    g = rng.substream(seed, rng.EXPLORATION)
-    gm = rng.substream(seed, rng.MIXTURE)
-    plan = RolloutPlan(roll_in="learned", roll_out="mixture", beta=beta,
-                       seed=seed)
+    state = BanditState(task.dimension, beta=beta, seed=seed)
     loss = partial(core.end_loss, task)
     values = np.empty(trials)
     for i in range(trials):
-        _, _, record = exploration_step(task, latest, ref_exact, loss, g, gm,
-                                        plan)
+        _, _, record = exploration_step(state, task, latest, ref_exact, loss)
         # an action the state lacks counts 0
         values[i] = record["costs"][action] if action < record["k"] else 0.0
     return float(values.mean()), exact_value, float(values.std(ddof=1))

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import sys
 from collections import deque
+from contextlib import nullcontext
 
 import click
 import numpy as np
@@ -122,18 +123,18 @@ def train(config_path, out, history_out, diagnostics_out, **overrides):
     """Train a model on a dataset and save it."""
     cfg, dataset = _config_and_data("train", config_path, overrides)
     chash = experiment.config_hash(cfg)
-    diag_fh = open(diagnostics_out, "w") if diagnostics_out else None
 
     def on_instance(diag):
         diag_fh.write(json.dumps({"config": chash, **diag}) + "\n")
 
-    trainer = experiment.train(dataset, cfg.plan(), cfg.passes,
-                               quality=cfg.reference_quality,
-                               eta0=cfg.eta0, seed=cfg.seed,
-                               record_history=bool(history_out),
-                               on_instance=on_instance if diag_fh else None)
-    if diag_fh:
-        diag_fh.close()
+    # closed on every exit path: a failed run leaves its rows on disk
+    diag = open(diagnostics_out, "w") if diagnostics_out else nullcontext()
+    with diag as diag_fh:
+        trainer = experiment.train(dataset, cfg.plan(), cfg.passes,
+                                   quality=cfg.reference_quality,
+                                   eta0=cfg.eta0, seed=cfg.seed,
+                                   record_history=bool(history_out),
+                                   on_instance=on_instance if diag_fh else None)
     trainer.learner.save(out)
     if history_out:
         trainer.history.save(history_out, config=chash)
@@ -219,28 +220,26 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
         experiment.task_dimension(dataset), epsilon=epsilon,
         beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)
     pick = rng.substream(cfg.seed, rng.DATA)
-    log_fh = open(log_out, "w") if log_out else None
     # the window of exploit losses the closing line averages
     window = deque(maxlen=100)
-    for round_id in range(rounds):
-        i = int(pick.integers(len(dataset.records)))
-        task = experiment.make_task(dataset, i, normalize_loss=True)
-        reference = task.reference_policy(
-            "bad", seed=rng.derive_seed(cfg.seed, rng.REFERENCE, round_id))
-        state, outcome = banditmod.bandit_step(
-            state, task, lambda end: core.end_loss(task, end), reference)
-        if outcome.mode == "exploited":
-            window.append(outcome.observed_loss)
-        if log_fh:
-            entry = {"round": round_id, "instance": i,
-                     "mode": outcome.mode,
-                     "loss": outcome.observed_loss}
-            if outcome.exploration_record:
-                entry.update({k: outcome.exploration_record[k]
-                              for k in ("t", "action", "k", "rollout")})
-            log_fh.write(json.dumps(entry) + "\n")
-    if log_fh:
-        log_fh.close()
+    with open(log_out, "w") if log_out else nullcontext() as log_fh:
+        for round_id in range(rounds):
+            i = int(pick.integers(len(dataset.records)))
+            task = experiment.make_task(dataset, i, normalize_loss=True)
+            reference = task.reference_policy(
+                "bad", seed=rng.derive_seed(cfg.seed, rng.REFERENCE, round_id))
+            state, outcome = banditmod.bandit_step(
+                state, task, lambda end: core.end_loss(task, end), reference)
+            if outcome.mode == "exploited":
+                window.append(outcome.observed_loss)
+            if log_fh:
+                entry = {"round": round_id, "instance": i,
+                         "mode": outcome.mode,
+                         "loss": outcome.observed_loss}
+                if outcome.exploration_record:
+                    entry.update({k: outcome.exploration_record[k]
+                                  for k in ("t", "action", "k", "rollout")})
+                log_fh.write(json.dumps(entry) + "\n")
     avg = f"{sum(window) / len(window):.4f}" if window else "n/a"
     click.echo(f"rounds {rounds}  explored {state.n_explore}  "
                f"exploit-loss (last {len(window)}): {avg}")

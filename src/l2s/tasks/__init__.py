@@ -1,5 +1,5 @@
 from .sequence import SequenceTask, SequenceReference
-from .labeltree import LabelTreeTask, TreeReference, leaf_path, split
+from .labeltree import LabelTreeTask, TreeReference, split
 from .parse import ParseTask, ParseReference
 from .io import (
     read_multiclass,
@@ -12,7 +12,7 @@ from . import io, synth
 
 __all__ = [
     "SequenceTask", "SequenceReference",
-    "LabelTreeTask", "TreeReference", "leaf_path", "split",
+    "LabelTreeTask", "TreeReference", "split",
     "ParseTask", "ParseReference",
     "read_multiclass", "read_sentences",
     "write_multiclass", "write_sentences",

@@ -65,23 +65,6 @@ def split(lo, hi):
     return (lo, mid), (mid + 1, hi)
 
 
-def leaf_path(k, label):
-    """Branch sequence (0=left, 1=right) spelling `label`'s leaf, padded."""
-    horizon = max(1, math.ceil(math.log2(k))) if k > 1 else 1
-    lo, hi = 0, k - 1
-    path = []
-    while lo < hi:
-        left, right = split(lo, hi)
-        if label <= left[1]:
-            path.append(0)
-            lo, hi = left
-        else:
-            path.append(1)
-            lo, hi = right
-    path.extend([0] * (horizon - len(path)))
-    return path
-
-
 def _index(i):
     """A feature index that is not a Python int: a numpy integer's int,
     or an L2SError."""

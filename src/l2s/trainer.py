@@ -95,8 +95,8 @@ class PolicyPool:
     written, plus the touched values every CHECKPOINT_EVERY snapshots,
     not with the dimension.
 
-    Iteration yields new float64 arrays, which later appends leave
-    alone. `rebuild(i)` writes snapshot i into one buffer the pool
+    Iteration yields a copy of each `rebuild(i)`, which later appends
+    leave alone. `rebuild(i)` writes snapshot i into one buffer the pool
     reuses, so its result holds only until the next `rebuild`. `save`
     and `load` keep a pool in an .npz archive.
     """
@@ -145,10 +145,8 @@ class PolicyPool:
         return buf
 
     def __iter__(self):
-        w = np.zeros(self.dimension)
-        for idx, values in self._entries:
-            w[idx] = values
-            yield w.copy()
+        for i in range(len(self._entries)):
+            yield self.rebuild(i).copy()
 
     def save(self, path, **extra):
         """Write the pool, and the arrays `extra`, to the .npz archive
@@ -260,6 +258,17 @@ class Trainer:
             diag_costs.append(costs.tolist())
             diag_actions.append(core.argmin(losses))
 
+        self.learn(examples)
+        diagnostics = {
+            "instance": self.examples_seen,
+            "best_actions": diag_actions,
+            "cost_vectors": diag_costs,
+        }
+        return examples, diagnostics
+
+    def learn(self, examples):
+        """One update per cost-sensitive example, in order, then one
+        history snapshot of the weights those updates wrote."""
         for ex in examples:
             self.learner.update(ex)
         self.examples_seen += 1
@@ -267,13 +276,6 @@ class Trainer:
             self.history.append(self.learner.weights, [
                 i for ex in examples
                 for i in ex.per_action_features.weight_indices()])
-
-        diagnostics = {
-            "instance": self.examples_seen,
-            "best_actions": diag_actions,
-            "cost_vectors": diag_costs,
-        }
-        return examples, diagnostics
 
     def post_update_loss(self, examples):
         """Mean cost of the current weights' prediction on `examples`."""

@@ -8,7 +8,6 @@ from l2s.errors import L2SError
 from l2s.theory import shared_feature_chooser, two_level_chooser
 from l2s.tasks import SequenceTask, gen_sequences
 from l2s.theory.exact import ExactModelTask
-from l2s.trainer import RolloutPlan
 
 
 def scaled_model(scale=0.01):
@@ -54,10 +53,8 @@ def test_explore_rounds_match_exploration_step():
     tasks = [SequenceTask(toks, tags, 3, normalize_loss=True)
              for toks, tags in gen_sequences(5, seed=3, tag_count=3)]
     state = bandit.BanditState(tasks[0].dimension, epsilon=1.0, seed=seed)
-    explore_rng = rng.substream(seed, rng.EXPLORATION)
-    mixture_rng = rng.substream(seed, rng.MIXTURE)
-    plan = RolloutPlan(roll_in="learned", roll_out="mixture", beta=0.5,
-                       seed=seed)
+    # its streams and plan are the session's; it never updates
+    replay = bandit.BanditState(tasks[0].dimension, epsilon=1.0, seed=seed)
     kinds = set()
     for r in range(20):
         task = tasks[r % len(tasks)]
@@ -66,10 +63,10 @@ def test_explore_rounds_match_exploration_step():
         state, out = bandit.bandit_step(
             state, task, oracle, task.reference_policy("bad", seed=seed))
         assert out.mode == "explored"
-        explore_rng.random()  # the epsilon coin bandit_step draws first
+        replay.explore_rng.random()  # the epsilon coin bandit_step draws first
         features, end, record = bandit.exploration_step(
-            task, latest, task.reference_policy("bad", seed=seed), oracle,
-            explore_rng, mixture_rng, plan)
+            replay, task, latest, task.reference_policy("bad", seed=seed),
+            oracle)
         assert record == out.exploration_record
         assert len(features) == record["k"]
         assert task.decode(end) == out.prediction

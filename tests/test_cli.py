@@ -20,7 +20,7 @@ from l2s import bandit as banditmod
 from l2s import cli, theory
 from l2s.errors import L2SError
 from l2s.experiment import ExperimentConfig, build_config
-from l2s.trainer import PolicyPool
+from l2s.trainer import PolicyPool, Trainer
 from l2s.theory import snake
 
 
@@ -458,6 +458,50 @@ def test_bad_learning_rate_exits_one(runner, tmp_path, flags, message):
     assert r.exit_code == 1, r.output
     assert message in r.output
     assert not model.exists()
+
+
+def test_failed_train_leaves_its_diagnostics_rows_on_disk(runner, tmp_path,
+                                                          monkeypatch):
+    # the file is closed when the run fails, not when its traceback goes
+    data = gen(runner, tmp_path, "multiclass", 5, "mc.csv")
+    diag = tmp_path / "diag.jsonl"
+    process = Trainer.process_example
+
+    def third_fails(self, task, reference=None):
+        if self.examples_seen == 2:
+            raise L2SError("instance 3 failed")
+        return process(self, task, reference)
+
+    monkeypatch.setattr(Trainer, "process_example", third_fails)
+    r = runner.invoke(cli.main, train_args(data, "multiclass",
+                                           tmp_path / "m.model")
+                      + ["--diagnostics-out", str(diag)])
+    assert_clean_exit(r, 1)
+    assert "instance 3 failed" in r.output
+    rows = [json.loads(line) for line in diag.read_text().splitlines()]
+    assert [row["instance"] for row in rows] == [1, 2]
+
+
+def test_failed_bandit_round_leaves_its_log_rows_on_disk(runner, tmp_path,
+                                                         monkeypatch):
+    data = gen(runner, tmp_path, "multiclass", 5, "mc.csv")
+    log = tmp_path / "log.jsonl"
+    step, rounds = banditmod.bandit_step, []
+
+    def third_fails(*args):
+        rounds.append(None)
+        if len(rounds) == 3:
+            raise L2SError("round 3 failed")
+        return step(*args)
+
+    monkeypatch.setattr(banditmod, "bandit_step", third_fails)
+    r = runner.invoke(cli.main, ["bandit", "--task", "multiclass",
+                                 "--data", str(data), "--rounds", "10",
+                                 "--log-out", str(log)])
+    assert_clean_exit(r, 1)
+    assert "round 3 failed" in r.output
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [row["round"] for row in rows] == [0, 1]
 
 
 @pytest.mark.parametrize("damage", [

@@ -289,6 +289,20 @@ def test_label_tree_signed_zero_values_give_one_feature_set(first):
     assert len(labeltree._features) == 1
 
 
+def test_colliding_parse_keys_make_one_pair_of_value_one():
+    # sequence and parse build a state's pairs from the set of its keys'
+    # indices, so two keys hashed to one index give one pair of value
+    # 1.0, where the label tree's from_pairs sums them to 2.0. Summing
+    # here too would move parse model bytes.
+    index = hash_index("s0b0=tl26|tg25", parse.BASE)
+    assert hash_index("s0pb0p=tl|tg", parse.BASE) == index
+    pairs = parse._features("tl26", "<none>", "tg25", "<none>", 5,
+                            (0, 1)).shared.pairs
+    assert len(pairs) == 11  # 12 keys
+    assert [v for i, v in pairs if i == index] == [1.0]
+    assert from_pairs([(index, 1.0)] * 2, parse.BASE).pairs == ((index, 2.0),)
+
+
 def bandit_session(dataset, rounds=300):
     """The outcomes and final weights of one bandit session, run as
     `l2s bandit` runs it at seed 5."""

@@ -15,7 +15,6 @@ from l2s.tasks import (
     gen_multiclass,
     gen_sequences,
     gen_trees,
-    leaf_path,
     read_multiclass,
     read_sentences,
     split,
@@ -204,24 +203,14 @@ def test_split_left_heavy():
     assert split(0, 1) == ((0, 0), (1, 1))
 
 
-def test_leaf_path_examples():
-    assert leaf_path(4, 0) == [0, 0]
-    assert leaf_path(4, 3) == [1, 1]
-    # k = 5: label 4 sits alone on the right: right, right, then padding
-    assert leaf_path(5, 4) == [1, 1, 0]
-
-
 def test_tree_walk_reaches_declared_leaf():
     for k in (2, 3, 4, 5, 8, 11):
-        costs = np.zeros(k)
-        for label in range(k):
-            task = LabelTreeTask([(0, 1.0)], costs, k)
-            s = task.start_state()
-            for branch in leaf_path(k, label):
-                s = task.transition(s, branch if action_count(task, s) == 2
-                                    else 0)
-            assert s.payload == (label, label)
-            assert s.depth == task.horizon
+        task = LabelTreeTask([(0, 1.0)], np.zeros(k), k)
+        ends = all_end_states(task, task.start_state())
+        # every label's leaf, each by exactly one walk, at the horizon
+        assert sorted(s.payload for s in ends) == [(label, label)
+                                                   for label in range(k)]
+        assert all(s.depth == task.horizon for s in ends)
 
 
 def test_tree_reference_descends_to_min_cost():
