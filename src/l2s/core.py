@@ -120,37 +120,23 @@ class LinearPolicy(Policy):
 
     `weights` must not change while the policy lives: `choose` memoises
     its action per `task.feature_key(state)`, so a roll-out revisiting a
-    feature context is not scored again. `features` keeps the
-    ActionFeatures it builds per key, and `choose` reads them there
-    before it builds its own, which it does not keep. Both hold one
-    task's keys and start afresh when called with another task.
+    feature context is not scored again. The memo holds one task's keys
+    and starts afresh when called with another task; it keeps actions
+    only, as the task modules keep the ActionFeatures.
     """
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=np.float64)
-        self._task, self._choices, self._features = None, {}, {}
+        self._task, self._choices = None, {}
 
     def choose(self, task, state):
         if task is not self._task:
-            self._task, self._choices, self._features = task, {}, {}
+            self._task, self._choices = task, {}
         key = task.feature_key(state)
         action = self._choices.get(key)
         if action is None:
-            feats = self._features.get(key)
-            if feats is None:
-                feats = task.action_features(state)
-            action = self._choices[key] = act(self, feats)
+            action = self._choices[key] = act(self, task.action_features(state))
         return action
-
-    def features(self, task, state):
-        """`task.action_features(state)`, built once per feature key."""
-        if task is not self._task:
-            self._task, self._choices, self._features = task, {}, {}
-        key = task.feature_key(state)
-        feats = self._features.get(key)
-        if feats is None:
-            feats = self._features[key] = task.action_features(state)
-        return feats
 
 
 def execute(task, policy, from_state, steps):

@@ -22,6 +22,7 @@ from .trainer import (
     Trainer,
 )
 from .tasks import LabelTreeTask, ParseTask, SequenceTask, io, synth
+from .tasks.sequence import MAX_TAG_COUNT
 
 
 # -- configuration --
@@ -117,10 +118,6 @@ class Dataset:
     kind: str
     records: list
     size: int  # the tag or label count a task takes; None for parse
-
-
-# a sequence model holds tag count x 2^15 weights: 64 MiB at this bound
-MAX_TAG_COUNT = 256
 
 
 def _sentences(column, what):
@@ -328,8 +325,17 @@ def run_grid(train_set, test_set, config):
     """Train and evaluate all six roll-in x roll-out combinations.
 
     Every cell uses the same pass shuffles and reference seed; only the
-    strategy (and its strategy-keyed substream) differs.
+    strategy (and its strategy-keyed substream) differs. A held-out set
+    the cells' models cannot score is an L2SError before any cell
+    trains: where a model tells its size, the held-out size may not pass
+    the training size; elsewhere the two must be equal, as a label tree's
+    nodes are keyed by the label count.
     """
+    kind = KINDS[train_set.kind]
+    trained, held_out = train_set.size, test_set.size
+    if (held_out > trained if kind.model_sized else held_out != trained):
+        raise L2SError(f"test data has {held_out} labels, "
+                       f"training data {trained}")
     cells = []
     for idx, (ri, ro) in enumerate(GRID_CELLS):
         cell_seed = rng.derive_seed(config.seed, rng.GRID, idx)
@@ -340,7 +346,6 @@ def run_grid(train_set, test_set, config):
                         seed=config.seed)
         _, value = evaluate(test_set, trainer.learner.policy())
         cells.append(GridCell(ri, ro, cell_seed, value))
-    kind = KINDS[train_set.kind]
     return GridReport(kind.metric, kind.higher_is_better, config_hash(config),
                       cells)
 

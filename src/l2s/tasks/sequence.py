@@ -9,10 +9,14 @@ from ..sparse import (FEATURE_CACHE_SIZE, TOKEN_CACHE_SIZE, ActionFeatures,
 
 BASE_BITS = 15
 BASE = 1 << BASE_BITS
+# the tags a data file may hold are 0..MAX_TAG_COUNT - 1; a model
+# holds tag count x 2^15 weights: 64 MiB at this bound
+MAX_TAG_COUNT = 256
 _BIAS = (hash_index("bias", BASE), 1.0)
-# the tm1= pairs of tags 0..255, the tags a data file may hold; a tag
-# beyond them, which only the API can give, is hashed where it is met
-_TAGS = tuple((hash_index(f"tm1={tag}", BASE), 1.0) for tag in range(256))
+# the tm1= pairs of the tags a data file may hold; a tag beyond them,
+# which only the API can give, is hashed where it is met
+_TAGS = tuple((hash_index(f"tm1={tag}", BASE), 1.0)
+              for tag in range(MAX_TAG_COUNT))
 
 
 @functools.lru_cache(maxsize=TOKEN_CACHE_SIZE)
@@ -27,7 +31,7 @@ def _token_keys(token):
         "wp1=" + token))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=MAX_TAG_COUNT)
 def _blocks(tag_count):
     """One action block per tag: one tuple per tag count, however many
     cached feature sets hold it."""

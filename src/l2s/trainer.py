@@ -230,24 +230,20 @@ class Trainer:
             reference = task.reference_policy()
         # The learned policy reads the live weights, not a copy: no update
         # runs until every roll-out of this instance is done, so it stays
-        # frozen for the whole instance, as LinearPolicy's memo needs. It
-        # lives for this instance only, and so do the features it keeps.
+        # frozen for the whole instance, as LinearPolicy's memo needs.
         learned = core.LinearPolicy(self.learner.weights)
         roll_in = reference if self.plan.roll_in == "reference" else learned
 
-        # one roll-in pass collecting the state at every decision point and
-        # its features, built once per feature key through `learned`, whose
-        # roll-in and roll-out choices then read them instead of building
+        # one roll-in pass collecting the state at every decision point
         states = [task.start_state()]
-        features = [learned.features(task, states[0])]
         for _ in range(task.horizon - 1):
             s = states[-1]
             states.append(task.transition(s, roll_in.choose(task, s)))
-            features.append(learned.features(task, states[-1]))
 
         examples = []
         diag_actions, diag_costs = [], []
-        for s_t, feats in zip(states, features):
+        for s_t in states:
+            feats = task.action_features(s_t)
             losses = []
             for a in range(len(feats)):
                 end, _ = complete_deviation(task, s_t, a, self.plan, reference,

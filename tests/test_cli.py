@@ -17,9 +17,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from l2s import bandit as banditmod
-from l2s import cli, theory
+from l2s import cli, experiment, theory
 from l2s.errors import L2SError
 from l2s.experiment import ExperimentConfig, build_config
+from l2s.tasks import gen_multiclass
 from l2s.trainer import PolicyPool, Trainer
 from l2s.theory import snake
 
@@ -576,13 +577,16 @@ def test_held_out_file_scored_with_model_tag_count(runner, tmp_path,
     r = runner.invoke(cli.main, train_args(train, "sequence", model)
                       + ["--passes", "1"])
     assert r.exit_code == 0, r.output
-    for args in (["eval", "--task", "sequence", "--data", str(test),
-                  "--model", str(model)],
-                 ["grid", "--task", "sequence", "--data", str(train),
-                  "--test-data", str(test), "--passes", "1"]):
+    # `grid` refuses the file before it trains, `eval` at the model
+    for args, refusal in (
+            (["eval", "--task", "sequence", "--data", str(test),
+              "--model", str(model)], "dimension"),
+            (["grid", "--task", "sequence", "--data", str(train),
+              "--test-data", str(test), "--passes", "1"],
+             "error: test data has 5 labels, training data 4\n")):
         r = runner.invoke(cli.main, args)
         assert r.exit_code == code, r.output
-        assert ("dimension" in r.output) == (code == 1)
+        assert (refusal in r.output) == (code == 1)
 
 
 def test_grid_rejects_held_out_label_count(runner, tmp_path):
@@ -594,6 +598,28 @@ def test_grid_rejects_held_out_label_count(runner, tmp_path):
                                  str(test), "--passes", "1"])
     assert r.exit_code == 1, r.output
     assert r.output == "error: test data has 3 labels, training data 8\n"
+
+
+@pytest.mark.parametrize("kind", ["sequence", "multiclass"])
+def test_run_grid_refuses_held_out_size_before_training(monkeypatch, kind):
+    if kind == "sequence":
+        # a held-out tag beyond the training data's top tag
+        train_set, test_set = (
+            experiment.Dataset(kind, [([f"w{t}" for t in tags], list(tags))],
+                               len(tags)) for tags in ((0, 1, 2), (0, 1, 2, 3)))
+    else:
+        # another label count, which a label tree's model does not tell
+        train_set, test_set = (
+            experiment.Dataset(kind, gen_multiclass(4, 0, label_count=k), k)
+            for k in (8, 3))
+    trains = []
+    monkeypatch.setattr(experiment, "train",
+                        lambda *args, **kwargs: trains.append(args))
+    with pytest.raises(L2SError, match=f"^test data has {test_set.size} labels, "
+                                       f"training data {train_set.size}$"):
+        experiment.run_grid(train_set, test_set,
+                            ExperimentConfig(task=kind, passes=1))
+    assert trains == []
 
 
 def pool_archive(dimension=2, offsets=(0, 0, 1), indices=(1,), values=(0.5,)):

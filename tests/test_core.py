@@ -173,38 +173,3 @@ def test_memo_starts_afresh_for_another_task():
     for task, action in expected:
         assert core.act(pol, task.action_features(task.start_state())) == action
         assert pol.choose(task, task.start_state()) == action
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_kept_features_are_built_once_and_read_by_choose(kind):
-    for task, trained, states in visited_states(kind, 2):
-        features = task.action_features
-        calls = []
-        task.action_features = lambda s: calls.append(s) or features(s)
-        pol = core.LinearPolicy(trained)
-        kept = {}
-        for s in states:
-            feats = pol.features(task, s)
-            assert feats == features(s)
-            assert kept.setdefault(task.feature_key(s), feats) is feats
-        for s in states:
-            assert pol.choose(task, s) == core.act(
-                core.LinearPolicy(trained), features(s))
-        assert len(calls) == len(kept)
-        del task.action_features
-
-
-def test_kept_features_start_afresh_for_another_task():
-    # as in the memo test: equal keys, and only a prefers tag 1
-    a, b = SequenceTask(["x"], [0], 2), SequenceTask(["y"], [0], 2)
-    sa, sb = a.start_state(), b.start_state()
-    w = np.zeros(a.dimension)
-    w[a.base + hash_index("w=x", a.base)] = -1.0
-    pol = core.LinearPolicy(w)
-    assert pol.features(a, sa) == a.action_features(sa)
-    assert pol.choose(b, sb) == 0
-    assert pol.features(b, sb) == b.action_features(sb)
-    assert pol.choose(a, sa) == 1
-    assert pol.features(a, sa) == a.action_features(sa)
-    assert pol.features(b, sb) == b.action_features(sb)
-    assert pol.choose(b, sb) == 0

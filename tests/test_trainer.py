@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from l2s import core, rng, theory
 from l2s.errors import L2SError
-from l2s.tasks import ParseTask, SequenceTask, gen_sequences, gen_trees
+from l2s.tasks import (LabelTreeTask, ParseTask, SequenceTask, gen_multiclass,
+                       gen_sequences, gen_trees, parse, sequence)
 from l2s.theory.exact import ExactModelTask
 from l2s.trainer import (
     CHECKPOINT_EVERY,
@@ -344,30 +345,56 @@ def test_averaged_policy_monte_carlo_mean():
     assert abs(total / 10_000 - 50.0) <= 1.5
 
 
-@pytest.mark.parametrize("roll_in", ["learned", "reference"])
-@pytest.mark.parametrize("kind", ["sequence", "parse"])
-def test_one_feature_build_per_key_per_instance(kind, roll_in):
+# -- the one feature store: the task modules' ActionFeatures caches --
+
+def store_tasks(kind):
+    """A few small instances of one task kind."""
     if kind == "sequence":
-        tasks = [SequenceTask(toks, tags, 4) for toks, tags in
-                 gen_sequences(4, 0, tag_count=4, min_len=3, max_len=6)]
-    else:
-        tasks = [ParseTask(toks, heads) for toks, heads in gen_trees(4, 0)]
+        return [SequenceTask(toks, tags, 4) for toks, tags in
+                gen_sequences(4, 0, tag_count=4, min_len=3, max_len=6)]
+    if kind == "parse":
+        return [ParseTask(toks, heads) for toks, heads in gen_trees(4, 0)]
+    if kind == "labeltree":
+        return [LabelTreeTask(pairs, costs, 5)
+                for pairs, costs in gen_multiclass(6, 0, label_count=5)]
+    return [ExactModelTask(m) for m in
+            [theory.shared_feature_chooser()] + theory.random_models(0, 3)]
+
+
+@pytest.mark.parametrize("roll_in", ["learned", "reference"])
+@pytest.mark.parametrize("kind", ["sequence", "parse", "labeltree", "exact"])
+def test_examples_hold_the_tasks_own_features(kind, roll_in):
+    # each example's features are the very object the task returns for
+    # its decision point, found by replaying the roll-in
     plan = RolloutPlan(roll_in=roll_in, roll_out="mixture", seed=0)
+    for task in store_tasks(kind):
+        trainer = Trainer(task.dimension, plan, record_history=False)
+        reference = task.reference_policy()
+        for _ in range(3):
+            rolled = (reference if roll_in == "reference" else
+                      core.LinearPolicy(trainer.learner.weights.copy()))
+            examples, _ = trainer.process_example(task, reference)
+            assert len(examples) == task.horizon
+            s = task.start_state()
+            for ex in examples:
+                assert ex.per_action_features is task.action_features(s)
+                s = task.transition(s, rolled.choose(task, s))
+
+
+@pytest.mark.parametrize("kind", ["sequence", "parse"])
+def test_one_build_per_context_per_process(kind, monkeypatch):
+    module = {"sequence": sequence, "parse": parse}[kind]
+    build, contexts = module._features, []
+    monkeypatch.setattr(module, "_features",
+                        lambda *args: contexts.append(args) or build(*args))
+    tasks = store_tasks(kind)
+    plan = RolloutPlan(roll_in="learned", roll_out="mixture", seed=0)
     trainer = Trainer(tasks[0].dimension, plan, record_history=False)
     for task in tasks:
-        build, keys = task.action_features, []
-
-        def recording(state, task=task, build=build, keys=keys):
-            keys.append(task.feature_key(state))
-            return build(state)
-
-        task.action_features = recording
-        for _ in range(3):
-            keys.clear()
-            examples, _ = trainer.process_example(task)
-            assert len(examples) == task.horizon
-            assert len(keys) == len(set(keys))
-        del task.action_features
+        build.cache_clear()
+        contexts.clear()
+        trainer.process_example(task)
+        assert build.cache_info().misses == len(set(contexts))
 
 
 def test_post_update_loss_is_computed_only_for_a_consumer(tmp_path, monkeypatch):
