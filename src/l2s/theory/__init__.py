@@ -2,7 +2,6 @@ from .exact import (
     ExactModel,
     ExactModelTask,
     TablePolicy,
-    SlotPolicy,
     StateSlotPolicy,
     enumerate_policies,
     exact_J,

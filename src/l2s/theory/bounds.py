@@ -22,15 +22,9 @@ from .exact import (
 
 def expected_Q_under(model, dist, rollout_policy, acting_policy):
     """E_{s ~ dist}[Q^rollout(s, acting)]."""
-    terms = []
-    for s, p in dist.items():
-        # Q(s, acting) summed left to right: builtin sum() is compensated
-        # from Python 3.12, which would move the last digits
-        q_s = 0.0
-        for slot, q in acting_policy.slot_distribution(model, s):
-            q_s += q * exact_Q(model, rollout_policy, s, slot)
-        terms.append(p * q_s)
-    return sum(terms)
+    return sum(p * exact_Q(model, rollout_policy, s,
+                           acting_policy.slot(model, s))
+               for s, p in dist.items())
 
 
 def expected_min_Q(model, dist, rollout_policy):
@@ -55,8 +49,7 @@ def class_min_expected_Q(model, weighted_dists):
             sig = model.signature(s)
             bucket = per_sig.setdefault(sig, {})
             for label in set(sig):
-                slots = [i for i, l in enumerate(sig) if l == label]
-                q = sum(exact_Q(model, rollout, s, i) for i in slots) / len(slots)
+                q = exact_Q(model, rollout, s, sig.index(label))
                 bucket[label] = bucket.get(label, 0.0) + p * q
     return sum(min(bucket.values()) for bucket in per_sig.values())
 
@@ -146,9 +139,9 @@ def run_training(model, plan, rounds):
     """Train on a single exact model for `rounds` instances, step size
     eta0 = 0.5.
 
-    Returns (trainer, task, trace, example_stream) where trace holds one
-    deterministic SlotPolicy per round and example_stream every emitted
-    cost-sensitive example.
+    Returns (trainer, task, trace, example_stream) where trace holds the
+    TablePolicy the weights induce after each round and example_stream
+    every emitted cost-sensitive example.
     """
     task = ExactModelTask(model)
     trainer = Trainer(task.dimension, plan, eta0=0.5, record_history=False)

@@ -24,11 +24,10 @@ ROLLOUT_SEED = 0
 MIXTURE_BETA = 0.5
 
 
-def _expected_example_cost(model, task, policy, example):
-    """Expected cost a (possibly stochastic) class policy pays on an example."""
+def _example_cost(model, task, policy, example):
+    """Cost a class policy pays on an example."""
     sig = task.feature_signature[example.per_action_features.blocks[0]]
-    dist = policy.slot_distribution(model, model.signature_state[sig])
-    return sum(p * float(example.costs[slot]) for slot, p in dist)
+    return float(example.costs[policy.slot(model, model.signature_state[sig])])
 
 
 @dataclass
@@ -56,7 +55,7 @@ def reference_rollin_failure(model):
     J_ref = exact_J(model, ref)
     zero = []
     for pol in enumerate_policies(model):
-        total = sum(_expected_example_cost(model, task, pol, ex) for ex in stream)
+        total = sum(_example_cost(model, task, pol, ex) for ex in stream)
         if total == 0.0:
             zero.append(pol)
     return RollinFailureReport(
@@ -78,7 +77,7 @@ class RolloutFailureReport:
 def one_step_deviations(model, policy):
     """All policies differing from `policy` at exactly one signature."""
     out = []
-    base = {sig: sig[policy.slot_distribution(model, state)[0][0]]
+    base = {sig: sig[policy.slot(model, state)]
             for sig, state in model.signature_state.items()}
     for sig in model.signatures():
         for label in sorted(set(sig)):

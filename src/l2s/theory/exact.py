@@ -5,8 +5,9 @@ An ExactModel lists every state with its depth, the ordered action slots
 States whose ordered label tuple (their signature) coincides are
 indistinguishable to feature-based policies and must receive the same
 choice. The policy class is the set of per-signature label choices; a
-chosen label matching several slots resolves to the uniform mixture over
-them (the model cannot separate those slots).
+chosen label matching several slots takes the lowest of them, as
+`core.argmin` breaks a tie between equal scores. Every exact policy
+therefore picks one slot per state.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from ..sparse import ActionFeatures, SparseFeatures
 class ExactModel:
     """A search space, checked and indexed once, when it is built.
 
-    Construction raises L2SError unless the start state has a depth,
+    Construction raises L2SError unless the start state is at depth 0,
     every loss is on a state at the horizon, every non-terminal state has
     actions and every edge leads one depth down. So the terminal states
     are the states at the horizon, and every state below it has an
@@ -39,6 +40,9 @@ class ExactModel:
     def __post_init__(self):
         if self.start not in self.depths:
             raise L2SError(f"start state {self.start} has no depth")
+        if self.depths[self.start] != 0:
+            raise L2SError(f"start state {self.start} at depth "
+                           f"{self.depths[self.start]}, not 0")
         self.horizon = max(self.depths.values())
         for s in self.losses:
             if self.depths.get(s) != self.horizon:
@@ -74,50 +78,31 @@ class ExactModel:
 
 
 class ExactPolicy(Policy):
-    """Evaluable policy over an ExactModel: a distribution over slots."""
+    """Evaluable policy over an ExactModel: one slot per state."""
 
-    def slot_distribution(self, model, state):
+    def slot(self, model, state):
         raise NotImplementedError
 
     def choose(self, task, state):
-        # deterministic mode used by trajectory execution; mixtures must
-        # be resolved by the caller before running trajectories
-        dist = self.slot_distribution(task.model, state.payload)
-        if len(dist) != 1:
-            raise L2SError("stochastic exact policy cannot run a trajectory")
-        return dist[0][0]
+        return self.slot(task.model, state.payload)
 
 
 class TablePolicy(ExactPolicy):
-    """Per-signature label choice; equal-label slots get uniform mass."""
+    """Per-signature label choice; a label on several slots takes the
+    lowest of them."""
 
     def __init__(self, choices):
         self.choices = dict(choices)  # signature -> label
 
-    def slot_distribution(self, model, state):
+    def slot(self, model, state):
         sig = model.signature(state)
         label = self.choices[sig]
-        slots = [i for i, l in enumerate(sig) if l == label]
-        if not slots:
+        if label not in sig:
             raise L2SError(f"label {label!r} not available in {sig}")
-        p = 1.0 / len(slots)
-        return [(i, p) for i in slots]
+        return sig.index(label)
 
     def __repr__(self):
         return f"TablePolicy({self.choices})"
-
-
-class SlotPolicy(ExactPolicy):
-    """Deterministic per-signature slot choice (a learned policy's behavior)."""
-
-    def __init__(self, slots):
-        self.slots = dict(slots)  # signature -> slot index
-
-    def slot_distribution(self, model, state):
-        return [(self.slots[model.signature(state)], 1.0)]
-
-    def __repr__(self):
-        return f"SlotPolicy({self.slots})"
 
 
 class StateSlotPolicy(ExactPolicy):
@@ -127,8 +112,8 @@ class StateSlotPolicy(ExactPolicy):
     def __init__(self, slots):
         self.slots = dict(slots)  # state name -> slot index
 
-    def slot_distribution(self, model, state):
-        return [(self.slots[state], 1.0)]
+    def slot(self, model, state):
+        return self.slots[state]
 
     def __repr__(self):
         return f"StateSlotPolicy({self.slots})"
@@ -173,21 +158,16 @@ def state_distribution(model, policy, t):
     for _ in range(t):
         nxt = {}
         for s, p in dist.items():
-            for slot, q in policy.slot_distribution(model, s):
-                _, succ = model.edges[s][slot]
-                nxt[succ] = nxt.get(succ, 0.0) + p * q
+            _, succ = model.edges[s][policy.slot(model, s)]
+            nxt[succ] = nxt.get(succ, 0.0) + p
         dist = nxt
     return dist
 
 
 def _expected_loss_from(model, policy, state):
-    if model.is_terminal(state):
-        return model.losses[state]
-    total = 0.0
-    for slot, q in policy.slot_distribution(model, state):
-        _, succ = model.edges[state][slot]
-        total += q * _expected_loss_from(model, policy, succ)
-    return total
+    while not model.is_terminal(state):
+        _, state = model.edges[state][policy.slot(model, state)]
+    return model.losses[state]
 
 
 def exact_J(model, policy):
@@ -211,8 +191,9 @@ class ExactModelTask(SearchTask):
     """SearchTask adapter: one indicator feature per (signature, label).
 
     States sharing a signature present identical per-slot features, so a
-    linear policy is exactly a choice of label per signature (ties between
-    equal-label slots go to the lowest slot).
+    linear policy is exactly a choice of label per signature: a
+    TablePolicy, whose label on several slots takes the lowest one, as
+    the argmin does.
     """
 
     def __init__(self, model):
@@ -254,9 +235,9 @@ class ExactModelTask(SearchTask):
         return reference_policy(self.model)
 
     def learned_slot_policy(self, weights):
-        """The deterministic SlotPolicy a weight vector induces."""
-        return SlotPolicy({
-            sig: argmin(features.scores(weights))
+        """The TablePolicy a weight vector induces."""
+        return TablePolicy({
+            sig: sig[argmin(features.scores(weights))]
             for sig, features in self.signature_features.items()})
 
 

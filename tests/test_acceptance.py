@@ -8,9 +8,8 @@ it is a literal restatement of a definition.
 import time
 
 import numpy as np
-import pytest
 
-from l2s import bandit, core, experiment, theory
+from l2s import bandit, experiment, theory
 from l2s.cslearn import CostSensitiveExample, CostSensitiveLearner
 from l2s.experiment import Dataset, build_config, run_grid, split_dataset
 from l2s.sparse import ActionFeatures, SparseFeatures

@@ -9,7 +9,6 @@ features.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -7,8 +7,6 @@ change meant to leave training alone leaves this file alone; a change
 to what training does edits the oracle with it.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from l2s.core import LinearPolicy, StateRef, act
+from l2s.core import LinearPolicy, StateRef, act, end_loss, execute
 from l2s.errors import L2SError
 from l2s.theory import (
     ExactModel,
@@ -53,8 +53,10 @@ CHAIN = {"s": [("a", "m")], "m": [("b", "e")]}
      "loss on state m at depth 1, not the horizon 2"),
     ("s", CHAIN, {"e": 0.0, "x": 1.0},
      "loss on state x at depth None, not the horizon 2"),
+    # a task starts its trajectories at depth 0
+    ("m", CHAIN, {"e": 0.0}, "start state m at depth 1, not 0"),
 ], ids=["no-start", "no-actions", "skips-depth", "unlisted-state",
-        "loss-above-horizon", "loss-on-unlisted-state"])
+        "loss-above-horizon", "loss-on-unlisted-state", "start-below-root"])
 def test_invalid_model_rejected_when_built(start, edges, losses, message):
     with pytest.raises(L2SError, match=message):
         ExactModel(depths={"s": 0, "m": 1, "e": 2}, edges=edges,
@@ -97,11 +99,11 @@ def test_policy_class_size_reflects_signatures():
     assert len(enumerate_policies(shared_feature_chooser(0.1))) == 4
 
 
-def test_indistinct_branch_choice_is_uniform():
+def test_indistinct_branch_choice_takes_lowest_slot():
     m = indistinct_branch_chooser()
     pol = enumerate_policies(m)[0]
-    dist = pol.slot_distribution(m, "s1")
-    assert dist == [(0, 0.5), (1, 0.5)]
+    assert pol.choices[("a", "a")] == "a"
+    assert pol.slot(m, "s1") == 0
 
 
 def test_state_distribution_sums_to_one():
@@ -211,8 +213,8 @@ def test_learned_slot_policy_matches_weights():
     w = np.zeros(task.dimension)
     w[task.feature_index[(("a", "b"), "a")]] = 5.0  # push away from a
     pol = task.learned_slot_policy(w)
-    assert pol.slots[("a", "b")] == 1
-    assert pol.slots[("c", "d")] == 0  # zero-weight tie -> lowest slot
+    assert pol.slot(m, "s1") == 1
+    assert pol.slot(m, "s2") == 0  # zero-weight tie -> lowest slot
 
 
 def test_learned_slot_policy_agrees_with_act():
@@ -228,9 +230,27 @@ def test_learned_slot_policy_agrees_with_act():
             sig = model.signature(s)
             scores = [w[task.feature_index[(sig, label)]] for label in sig]
             ties += scores.count(min(scores)) > 1
-            assert pol.slot_distribution(model, s) == [
-                (act(LinearPolicy(w), task.action_features(state)), 1.0)]
+            assert pol.slot(model, s) == act(LinearPolicy(w),
+                                             task.action_features(state))
     assert ties > 0
+
+
+def test_class_policies_are_linear_policies():
+    # every enumerated class policy is the argmin of some weight vector,
+    # and runs as a trajectory with the loss exact_J gives it
+    models = [two_level_chooser(), indistinct_branch_chooser(),
+              shared_feature_chooser(0.1)]
+    for seed in range(3):
+        models.extend(random_models(seed, 20))
+    for model in models:
+        task = ExactModelTask(model)
+        for pol in enumerate_policies(model):
+            w = np.zeros(task.dimension)
+            for chosen in pol.choices.items():
+                w[task.feature_index[chosen]] = -1.0
+            assert task.learned_slot_policy(w).choices == pol.choices
+            end = execute(task, pol, task.start_state(), task.horizon)
+            assert exact_J(model, pol) == end_loss(task, end)
 
 
 # -- hypercube lower bound --
