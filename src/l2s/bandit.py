@@ -123,7 +123,7 @@ def _explore(state, task, loss_oracle, reference):
 def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
                        seed=0):
     """Monte Carlo mean of the importance-weighted cost of `action` versus
-    the enumerated expectation over random depth and rollout mixture.
+    the exact expectation over random depth and rollout mixture.
 
     The latest policy is frozen (no updates) so repeated exploration
     rounds are identically distributed.
@@ -135,17 +135,14 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
     latest_exact = task.learned_slot_policy(latest_weights)
     T = model.horizon
 
-    # exact side: mean over depths of E_{s ~ d_t^latest}[Q^mix(s, action)]
+    # exact side: mean of Q^mix(s, action) over the latest policy's s_0..s_T-1
     exact_value = 0.0
-    for t in range(T):
-        dist = ex.state_distribution(model, latest_exact, t)
-        for s, p in dist.items():
-            edges = model.edges[s]
-            if action >= len(edges):
-                continue  # action not live here contributes zero
-            q = (beta * ex.exact_Q(model, ref_exact, s, action)
-                 + (1 - beta) * ex.exact_Q(model, latest_exact, s, action))
-            exact_value += p * q / T
+    for s in ex.trajectory(model, latest_exact, model.start)[:T]:
+        if action >= len(model.edges[s]):
+            continue  # action not live here contributes zero
+        q = (beta * ex.exact_Q(model, ref_exact, s, action)
+             + (1 - beta) * ex.exact_Q(model, latest_exact, s, action))
+        exact_value += q / T
     # simulation side: the bandit's own exploration step, never updating
     latest = core.LinearPolicy(latest_weights)
     state = BanditState(task.dimension, beta=beta, seed=seed)

@@ -8,6 +8,7 @@ from .exact import (
     exact_Q,
     reference_policy,
     state_distribution,
+    trajectory,
     two_level_chooser,
     indistinct_branch_chooser,
     shared_feature_chooser,

@@ -1,9 +1,11 @@
 """Machine checks of the exact identities and the regret bound.
 
-Everything here is computed by enumeration over an ExactModel: state
-distributions, Q values, the telescoping difference identity, and the
-convex-combination regret bound with its epsilon term. Mixture rollout
-Q values are combined analytically (beta-weighted), never sampled.
+Every exact policy picks one slot per state, so its roll-in distribution
+d_t is the one state at depth t on its trajectory, and an expectation
+over d_t is that state's value. The telescoping difference identity and
+the convex-combination regret bound with its epsilon term are sums of
+exact Q values along each policy's trajectory; mixture roll-out Q values
+are combined analytically (beta-weighted), never sampled.
 """
 
 from dataclasses import dataclass
@@ -16,56 +18,21 @@ from .exact import (
     ExactModelTask,
     exact_J,
     exact_Q,
-    state_distribution,
+    trajectory,
 )
 
 
-def expected_Q_under(model, dist, rollout_policy, acting_policy):
-    """E_{s ~ dist}[Q^rollout(s, acting)]."""
-    return sum(p * exact_Q(model, rollout_policy, s,
-                           acting_policy.slot(model, s))
-               for s, p in dist.items())
-
-
-def expected_min_Q(model, dist, rollout_policy):
-    """E_{s ~ dist}[min_a Q^rollout(s, a)]."""
-    return sum(p * min(exact_Q(model, rollout_policy, s, slot)
-                       for slot in range(len(model.edges[s])))
-               for s, p in dist.items())
-
-
-def class_min_expected_Q(model, weighted_dists):
-    """min over the feature-consistent policy class of the summed expectation.
-
-    weighted_dists: list of (dist, rollout_policy) pairs; minimizes
-    sum_i E_{s ~ dist_i}[Q^{rollout_i}(s, pi)] over policies pi. The
-    objective is additive across signatures, so the minimum is taken
-    per signature without enumerating the full class.
-    """
-    # per signature: label -> accumulated weighted Q
-    per_sig = {}
-    for dist, rollout in weighted_dists:
-        for s, p in dist.items():
-            sig = model.signature(s)
-            bucket = per_sig.setdefault(sig, {})
-            for label in set(sig):
-                q = exact_Q(model, rollout, s, sig.index(label))
-                bucket[label] = bucket.get(label, 0.0) + p * q
-    return sum(min(bucket.values()) for bucket in per_sig.values())
-
-
 def check_difference_identity(model, policy1, policy2):
-    """The difference J(p1) - J(p2) as both telescoping expectations."""
+    """The difference J(p1) - J(p2) as both telescoping sums."""
     T = model.horizon
     lhs = exact_J(model, policy1) - exact_J(model, policy2)
 
     def telescoped(rollin, rollout):
         # T * E_{t ~ U, s ~ d_t^rollin}[...] == sum over the T decision depths
         total = 0.0
-        for t in range(T):
-            dist = state_distribution(model, rollin, t)
-            total += (expected_Q_under(model, dist, rollout, policy1)
-                      - expected_Q_under(model, dist, rollout, policy2))
+        for s in trajectory(model, rollin, model.start)[:T]:
+            total += (exact_Q(model, rollout, s, policy1.slot(model, s))
+                      - exact_Q(model, rollout, s, policy2.slot(model, s)))
         return total
 
     rhs1 = telescoped(policy1, policy2)
@@ -100,15 +67,21 @@ def check_regret_bound(model, ref, trace, beta):
     J_ref = exact_J(model, ref)
     J_bar = sum(exact_J(model, p) for p in trace) / N
 
-    dists = [[state_distribution(model, p, t) for t in range(T)] for p in trace]
+    paths = [trajectory(model, p, model.start) for p in trace]
 
-    # deviation term: sum_t (J_bar - min_pi (1/N) sum_i E_{d_t^i}[Q^i(s, pi)])
+    # deviation term: sum_t (J_bar - min_pi (1/N) sum_i Q^i(s_t^i, pi)), the
+    # minimum taken per signature, as the sum is additive across them
     dev = 0.0
     for t in range(T):
-        weighted = [(
-            {s: q / N for s, q in dists[i][t].items()}, trace[i]
-        ) for i in range(N)]
-        dev += J_bar - class_min_expected_Q(model, weighted)
+        per_sig = {}  # signature -> label -> summed weighted Q
+        for path, rollout in zip(paths, trace):
+            s = path[t]
+            sig = model.signature(s)
+            bucket = per_sig.setdefault(sig, {})
+            for label in set(sig):
+                q = exact_Q(model, rollout, s, sig.index(label))
+                bucket[label] = bucket.get(label, 0.0) + 1.0 / N * q
+        dev += J_bar - sum(min(bucket.values()) for bucket in per_sig.values())
 
     lhs_ref = beta * (J_bar - J_ref)
     lhs_dev = (1.0 - beta) * dev
@@ -116,14 +89,14 @@ def check_regret_bound(model, ref, trace, beta):
     # epsilon: rollout Q is the analytic beta-combination
     cost_term = 0.0
     min_term = 0.0
-    for i, pol in enumerate(trace):
-        for t in range(T):
-            dist = dists[i][t]
-            q_mix = (beta * expected_Q_under(model, dist, ref, pol)
-                     + (1 - beta) * expected_Q_under(model, dist, pol, pol))
-            cost_term += q_mix
-            min_term += (beta * expected_min_Q(model, dist, ref)
-                         + (1 - beta) * expected_min_Q(model, dist, pol))
+    for path, pol in zip(paths, trace):
+        for s in path[:T]:
+            taken, slots = pol.slot(model, s), range(len(model.edges[s]))
+            cost_term += (beta * exact_Q(model, ref, s, taken)
+                          + (1 - beta) * exact_Q(model, pol, s, taken))
+            min_term += (beta * min(exact_Q(model, ref, s, a) for a in slots)
+                         + (1 - beta) * min(exact_Q(model, pol, s, a)
+                                            for a in slots))
     eps_direct = (cost_term - min_term) / (N * T)
     rhs = T * eps_direct
     return BoundReport(

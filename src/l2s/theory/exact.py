@@ -150,39 +150,38 @@ def reference_policy(model):
     return StateSlotPolicy(slots)
 
 
-# -- exact evaluation by enumeration --
+# -- exact evaluation --
 
-def state_distribution(model, policy, t):
-    """d_t: distribution over states at depth t when following `policy`."""
-    dist = {model.start: 1.0}
-    for _ in range(t):
-        nxt = {}
-        for s, p in dist.items():
-            _, succ = model.edges[s][policy.slot(model, s)]
-            nxt[succ] = nxt.get(succ, 0.0) + p
-        dist = nxt
-    return dist
-
-
-def _expected_loss_from(model, policy, state):
+def trajectory(model, policy, state):
+    """The states from `state` to an end state, following `policy.slot`."""
+    path = [state]
     while not model.is_terminal(state):
         _, state = model.edges[state][policy.slot(model, state)]
-    return model.losses[state]
+        path.append(state)
+    return path
+
+
+def state_distribution(model, policy, t):
+    """d_t, the trajectory's state at depth t with mass 1.0. Nothing in
+    l2s calls it; it stays because perfbench/spans.py wraps it by name."""
+    if not 0 <= t <= model.horizon:
+        raise L2SError(f"t {t} outside 0..{model.horizon}, the horizon")
+    return {trajectory(model, policy, model.start)[t]: 1.0}
 
 
 def exact_J(model, policy):
-    """Expected end-state loss of running `policy` from the start state."""
-    return _expected_loss_from(model, policy, model.start)
+    """End-state loss of running `policy` from the start state."""
+    return model.losses[trajectory(model, policy, model.start)[-1]]
 
 
 def exact_Q(model, policy, state, slot):
-    """Expected loss of taking `slot` at `state`, then following `policy`."""
+    """Loss of taking `slot` at `state`, then following `policy`."""
     if model.is_terminal(state):
         raise L2SError(f"{state} is terminal")
     if not 0 <= slot < len(model.edges[state]):
         raise L2SError(f"slot {slot} not legal at {state}")
     _, succ = model.edges[state][slot]
-    return _expected_loss_from(model, policy, succ)
+    return model.losses[trajectory(model, policy, succ)[-1]]
 
 
 # -- learning on an exact model --

@@ -9,8 +9,11 @@ order, and the updated policy snapshot is appended to the history, a
 `PolicyPool` that keeps each snapshot as the weights its update wrote.
 """
 
+import contextlib
 import math
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,16 +170,22 @@ class PolicyPool:
         dimension the header declares. Anything else is an L2SError, as
         is an archive of the older form with one dense row per snapshot
         under `snapshots`, which no longer loads."""
+        # np.load leaves a file it opened open when zipfile refuses the
+        # archive, so a path is opened, and closed, here
+        source = (contextlib.nullcontext(path) if hasattr(path, "read")
+                  else open(path, "rb"))
         try:
-            with np.load(path) as archive:
+            with source as file, np.load(file) as archive:
                 if "snapshots" in archive:
                     raise ValueError("dense `snapshots` rows, an older "
                                      "form that is no longer read")
                 arrays = [archive[key] for key in
                           ("dimension", "offsets", "indices", "values")]
             dimension, offsets, indices, values = _checked(*arrays)
-        except (ValueError, KeyError, TypeError, EOFError,
-                zipfile.BadZipFile) as exc:
+        # also a member that does not inflate, a zip entry of a version
+        # zipfile cannot read, or an .npy header cut short mid-dict
+        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile,
+                zlib.error, NotImplementedError, tokenize.TokenError) as exc:
             raise L2SError(f"{path} is not a snapshot archive: {exc}")
         keys = np.unique(indices)
         pool = cls(len(keys))

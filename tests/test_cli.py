@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zipfile
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -629,6 +630,38 @@ def pool_archive(dimension=2, offsets=(0, 0, 1), indices=(1,), values=(0.5,)):
                                  indices=indices, values=values)
 
 
+def damaged_archive(damage):
+    """Writer of a compressed pool archive, of the default `pool_archive`
+    arrays, with its bytes then changed by `damage`."""
+    def write(path):
+        np.savez_compressed(path, dimension=2, offsets=(0, 0, 1),
+                            indices=(1,), values=(0.5,))
+        data = bytearray(path.read_bytes())
+        damage(data)
+        path.write_bytes(bytes(data))
+    return write
+
+
+def invalid_deflate_block(data):
+    # the first member's deflate stream, after its local header, starts
+    # with block type 3, which no deflate stream has
+    name_length, extra_length = struct.unpack("<HH", data[26:30])
+    data[30 + name_length + extra_length] = 0xFF
+
+
+def unsupported_zip_version(data):
+    # the first central directory entry needs version 21.0 to extract
+    at = data.index(b"PK\x01\x02")
+    data[at + 6:at + 8] = struct.pack("<H", 210)
+
+
+def npy_header_cut_mid_dict(path):
+    header = b"{'descr': '<i8', 'fortran_order': False, 'shape': ("
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("dimension.npy", b"\x93NUMPY\x01\x00"
+                         + struct.pack("<H", len(header)) + header)
+
+
 @pytest.mark.parametrize("write", [
     lambda path: path.write_text("not an archive\n"),
     lambda path: np.savez(path, other=[1.0]),
@@ -652,13 +685,18 @@ def pool_archive(dimension=2, offsets=(0, 0, 1), indices=(1,), values=(0.5,)):
     pool_archive(offsets=(0, 1, 1)),
     pool_archive(dimension=-1),
     pool_archive(dimension=(2, 2)),
+    damaged_archive(invalid_deflate_block),
+    damaged_archive(unsupported_zip_version),
+    npy_header_cut_mid_dict,
 ], ids=["text-file", "npz-without-snapshots", "nan-in-snapshots",
         "inf-in-snapshots", "int-snapshots", "snapshot-0-not-zero",
         "snapshots-1d", "nan-in-values", "inf-in-values", "int-values",
         "text-values", "index-equal-to-dimension", "negative-index",
         "float-index", "offsets-not-from-0", "offsets-decrease",
         "offsets-beyond-arrays", "offsets-without-entry-0", "float-offsets",
-        "entry-0-not-empty", "negative-dimension", "dimension-not-scalar"])
+        "entry-0-not-empty", "negative-dimension", "dimension-not-scalar",
+        "invalid-deflate-block", "unsupported-zip-version",
+        "npy-header-cut-mid-dict"])
 def test_eval_history_not_a_snapshot_archive_exits_one(runner, tmp_path, write):
     data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
     history = tmp_path / "history.npz"

@@ -21,6 +21,7 @@ from l2s.theory import (
     run_training,
     shared_feature_chooser,
     state_distribution,
+    trajectory,
     indistinct_branch_chooser,
     two_level_chooser,
 )
@@ -112,6 +113,31 @@ def test_state_distribution_sums_to_one():
         for t in range(m.horizon + 1):
             dist = state_distribution(m, pol, t)
             assert sum(dist.values()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("t", [-1, 3])
+def test_state_distribution_outside_horizon_rejected(t):
+    m = two_level_chooser()
+    with pytest.raises(L2SError, match=rf"^t {t} outside 0\.\.2, the horizon$"):
+        state_distribution(m, reference_policy(m), t)
+
+
+def test_trajectory_is_the_policy_run():
+    models = [two_level_chooser(), indistinct_branch_chooser(),
+              shared_feature_chooser(0.1)]
+    for seed in range(3):
+        models.extend(random_models(seed, 20))
+    for model in models:
+        task = ExactModelTask(model)
+        for pol in enumerate_policies(model):
+            path = trajectory(model, pol, model.start)
+            assert len(path) == model.horizon + 1
+            assert path[0] == model.start
+            for s, nxt in zip(path, path[1:]):
+                assert model.edges[s][pol.slot(model, s)][1] == nxt
+            for t, s in enumerate(path):
+                assert execute(task, pol, task.start_state(), t) == StateRef(t, s)
+                assert state_distribution(model, pol, t) == {s: 1.0}
 
 
 def test_worst_policy_loss():
