@@ -120,13 +120,17 @@ def _explore(state, task, loss_oracle, reference):
                                 exploration_record=record)
 
 
-def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
+def unbiasedness_probe(model, latest_weights, actions, trials, beta=0.5,
                        seed=0):
-    """Monte Carlo mean of the importance-weighted cost of `action` versus
-    the exact expectation over random depth and rollout mixture.
+    """Per action in `actions`, (Monte Carlo mean of its importance-weighted
+    cost, exact expectation over random depth and rollout mixture, sample
+    sd of the cost).
 
-    The latest policy is frozen (no updates) so repeated exploration
-    rounds are identically distributed.
+    One run of `trials` exploration rounds serves every action: it keeps
+    each round's explored action and weighted cost, and an action's cost
+    is that weighted cost where it was explored and 0 elsewhere. The
+    latest policy is frozen (no updates) so the rounds are identically
+    distributed.
     """
     if trials < 2:
         raise L2SError(f"trials {trials} must be at least 2")
@@ -136,20 +140,31 @@ def unbiasedness_probe(model, latest_weights, action, trials, beta=0.5,
     T = model.horizon
 
     # exact side: mean of Q^mix(s, action) over the latest policy's s_0..s_T-1
-    exact_value = 0.0
-    for s in ex.trajectory(model, latest_exact, model.start)[:T]:
-        if action >= len(model.edges[s]):
-            continue  # action not live here contributes zero
-        q = (beta * ex.exact_Q(model, ref_exact, s, action)
-             + (1 - beta) * ex.exact_Q(model, latest_exact, s, action))
-        exact_value += q / T
+    path = ex.trajectory(model, latest_exact, model.start)[:T]
+    exact_values = []
+    for action in actions:
+        exact_value = 0.0
+        for s in path:
+            if action >= len(model.edges[s]):
+                continue  # action not live here contributes zero
+            q = (beta * ex.exact_Q(model, ref_exact, s, action)
+                 + (1 - beta) * ex.exact_Q(model, latest_exact, s, action))
+            exact_value += q / T
+        exact_values.append((action, exact_value))
     # simulation side: the bandit's own exploration step, never updating
     latest = core.LinearPolicy(latest_weights)
     state = BanditState(task.dimension, beta=beta, seed=seed)
     loss = partial(core.end_loss, task)
-    values = np.empty(trials)
+    taken = np.empty(trials, dtype=np.intp)
+    weighted = np.empty(trials)
     for i in range(trials):
         _, _, record = exploration_step(state, task, latest, ref_exact, loss)
-        # an action the state lacks counts 0
-        values[i] = record["costs"][action] if action < record["k"] else 0.0
-    return float(values.mean()), exact_value, float(values.std(ddof=1))
+        taken[i] = a_t = record["action"]
+        weighted[i] = record["costs"][a_t]
+    out = []
+    for action, exact_value in exact_values:
+        # an action the state lacks is never explored, so it counts 0
+        values = np.where(taken == action, weighted, 0.0)
+        out.append((float(values.mean()), exact_value,
+                    float(values.std(ddof=1))))
+    return out

@@ -337,9 +337,10 @@ def unbiasedness(trials, beta, seed):
     weights = np.zeros(theory.ExactModelTask(model).dimension)
     ok = True
     details = []
-    for action in range(max(len(e) for e in model.edges.values())):
-        mc, exact_value, sd = banditmod.unbiasedness_probe(
-            model, weights, action, trials, beta=beta, seed=seed)
+    actions = range(max(len(e) for e in model.edges.values()))
+    probes = banditmod.unbiasedness_probe(model, weights, actions, trials,
+                                          beta=beta, seed=seed)
+    for action, (mc, exact_value, sd) in zip(actions, probes):
         se = sd / np.sqrt(trials)
         inside = abs(mc - exact_value) <= 3 * se
         ok = ok and inside

@@ -16,27 +16,28 @@ from ..errors import L2SError
 from .exact import (
     ExactModel,
     ExactModelTask,
-    exact_J,
-    exact_Q,
+    EndLosses,
     trajectory,
 )
 
 
 def check_difference_identity(model, policy1, policy2):
-    """The difference J(p1) - J(p2) as both telescoping sums."""
+    """The difference J(p1) - J(p2) as both telescoping sums, each reading
+    Q from its roll-out policy's EndLosses table."""
     T = model.horizon
-    lhs = exact_J(model, policy1) - exact_J(model, policy2)
+    q1, q2 = EndLosses(model, policy1), EndLosses(model, policy2)
+    lhs = q1[model.start] - q2[model.start]
 
-    def telescoped(rollin, rollout):
+    def telescoped(rollin, rollout_q):
         # T * E_{t ~ U, s ~ d_t^rollin}[...] == sum over the T decision depths
         total = 0.0
         for s in trajectory(model, rollin, model.start)[:T]:
-            total += (exact_Q(model, rollout, s, policy1.slot(model, s))
-                      - exact_Q(model, rollout, s, policy2.slot(model, s)))
+            row = rollout_q.q_row(s)
+            total += row[policy1.slot(model, s)] - row[policy2.slot(model, s)]
         return total
 
-    rhs1 = telescoped(policy1, policy2)
-    rhs2 = telescoped(policy2, policy1)
+    rhs1 = telescoped(policy1, q2)
+    rhs2 = telescoped(policy2, q1)
     return lhs, rhs1, rhs2
 
 
@@ -58,14 +59,17 @@ def check_regret_bound(model, ref, trace, beta):
 
     `trace` holds the learned policy after each round (exact-evaluable).
     The averaged policy couples its draw between roll-in and roll-out, so
-    every mixture expectation decomposes into per-round terms.
+    every mixture expectation decomposes into per-round terms. Q values
+    are read from one EndLosses table per trace policy and one for `ref`.
     """
     if not trace:
         raise L2SError("empty training trace")
     N = len(trace)
     T = model.horizon
-    J_ref = exact_J(model, ref)
-    J_bar = sum(exact_J(model, p) for p in trace) / N
+    ref_q = EndLosses(model, ref)
+    qs = [EndLosses(model, p) for p in trace]
+    J_ref = ref_q[model.start]
+    J_bar = sum(q[model.start] for q in qs) / N
 
     paths = [trajectory(model, p, model.start) for p in trace]
 
@@ -74,13 +78,14 @@ def check_regret_bound(model, ref, trace, beta):
     dev = 0.0
     for t in range(T):
         per_sig = {}  # signature -> label -> summed weighted Q
-        for path, rollout in zip(paths, trace):
+        for path, q in zip(paths, qs):
             s = path[t]
             sig = model.signature(s)
             bucket = per_sig.setdefault(sig, {})
+            row = q.q_row(s)
             for label in set(sig):
-                q = exact_Q(model, rollout, s, sig.index(label))
-                bucket[label] = bucket.get(label, 0.0) + 1.0 / N * q
+                weighted = 1.0 / N * row[sig.index(label)]
+                bucket[label] = bucket.get(label, 0.0) + weighted
         dev += J_bar - sum(min(bucket.values()) for bucket in per_sig.values())
 
     lhs_ref = beta * (J_bar - J_ref)
@@ -89,14 +94,11 @@ def check_regret_bound(model, ref, trace, beta):
     # epsilon: rollout Q is the analytic beta-combination
     cost_term = 0.0
     min_term = 0.0
-    for path, pol in zip(paths, trace):
+    for path, pol, q in zip(paths, trace, qs):
         for s in path[:T]:
-            taken, slots = pol.slot(model, s), range(len(model.edges[s]))
-            cost_term += (beta * exact_Q(model, ref, s, taken)
-                          + (1 - beta) * exact_Q(model, pol, s, taken))
-            min_term += (beta * min(exact_Q(model, ref, s, a) for a in slots)
-                         + (1 - beta) * min(exact_Q(model, pol, s, a)
-                                            for a in slots))
+            taken, ref_row, row = pol.slot(model, s), ref_q.q_row(s), q.q_row(s)
+            cost_term += beta * ref_row[taken] + (1 - beta) * row[taken]
+            min_term += beta * min(ref_row) + (1 - beta) * min(row)
     eps_direct = (cost_term - min_term) / (N * T)
     rhs = T * eps_direct
     return BoundReport(

@@ -10,7 +10,9 @@ chosen label matching several slots takes the lowest of them, as
 therefore picks one slot per state.
 """
 
-import itertools
+import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..core import SearchTask, StateRef, Policy, argmin
@@ -119,17 +121,38 @@ class StateSlotPolicy(ExactPolicy):
         return f"StateSlotPolicy({self.slots})"
 
 
+class PolicyClass(Sequence):
+    """Every feature-consistent deterministic policy (by label choice), in
+    `itertools.product` order over each signature's sorted labels.
+
+    Policy i is built when it is read, from i's mixed-radix digits (the
+    last signature's label varies fastest), so drawing a few policies of
+    a large class builds only those.
+    """
+
+    def __init__(self, model):
+        self.signatures = model.signatures()
+        self.options = [sorted(set(sig)) for sig in self.signatures]
+        self._len = math.prod(len(labels) for labels in self.options)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        i = operator.index(i)
+        if not -self._len <= i < self._len:
+            raise IndexError(f"policy {i} outside a class of {self._len}")
+        i %= self._len
+        combo = []
+        for labels in reversed(self.options):
+            i, digit = divmod(i, len(labels))
+            combo.append(labels[digit])
+        return TablePolicy(zip(self.signatures, reversed(combo)))
+
+
 def enumerate_policies(model):
-    """Every feature-consistent deterministic policy (by label choice)."""
-    sigs = model.signatures()
-    options = []
-    for sig in sigs:
-        labels = sorted(set(sig))
-        options.append(labels)
-    out = []
-    for combo in itertools.product(*options):
-        out.append(TablePolicy(dict(zip(sigs, combo))))
-    return out
+    """Every feature-consistent deterministic policy, as a PolicyClass."""
+    return PolicyClass(model)
 
 
 def reference_policy(model):
@@ -167,6 +190,31 @@ def state_distribution(model, policy, t):
     if not 0 <= t <= model.horizon:
         raise L2SError(f"t {t} outside 0..{model.horizon}, the horizon")
     return {trajectory(model, policy, model.start)[t]: 1.0}
+
+
+class EndLosses(dict):
+    """State -> loss at the end of following `policy` from that state,
+    filled on first read: a missing state walks its trajectory and fills
+    every state on it. Build one per policy, local to the computation
+    that reads it; a table holds its policy, so a policy must not hold a
+    table."""
+
+    def __init__(self, model, policy):
+        super().__init__()
+        self.model = model
+        self.policy = policy
+
+    def __missing__(self, state):
+        path = trajectory(self.model, self.policy, state)
+        loss = self.model.losses[path[-1]]
+        for s in path:
+            self[s] = loss
+        return loss
+
+    def q_row(self, state):
+        """Q(state, slot) for every slot of a non-terminal `state`: the
+        end loss from each slot's successor."""
+        return [self[succ] for _, succ in self.model.edges[state]]
 
 
 def exact_J(model, policy):

@@ -183,9 +183,11 @@ class PolicyPool:
                           ("dimension", "offsets", "indices", "values")]
             dimension, offsets, indices, values = _checked(*arrays)
         # also a member that does not inflate, a zip entry of a version
-        # zipfile cannot read, or an .npy header cut short mid-dict
+        # zipfile cannot read, an .npy header cut short mid-dict, or a zip
+        # offset that seeks outside the file (OSError: the file is open)
         except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile,
-                zlib.error, NotImplementedError, tokenize.TokenError) as exc:
+                zlib.error, NotImplementedError, tokenize.TokenError,
+                OSError) as exc:
             raise L2SError(f"{path} is not a snapshot archive: {exc}")
         keys = np.unique(indices)
         pool = cls(len(keys))

@@ -128,9 +128,9 @@ def test_criterion_6_bandit_unbiasedness():
     ok = True
     details = []
     for beta in (0.0, 0.5, 1.0):
-        for action in (0, 1):
-            mc, exact, sd = bandit.unbiasedness_probe(
-                model, w, action, trials=100_000, beta=beta, seed=6)
+        probes = bandit.unbiasedness_probe(
+            model, w, (0, 1), trials=100_000, beta=beta, seed=6)
+        for action, (mc, exact, sd) in enumerate(probes):
             se = sd / np.sqrt(100_000)
             inside = abs(mc - exact) <= 3 * se
             ok = ok and inside

@@ -153,11 +153,31 @@ def test_unbiased_cost_estimate():
     task = ExactModelTask(model)
     weights = np.zeros(task.dimension)
     for beta in (0.0, 1.0):
-        for action in (0, 1):
-            mc, exact, sd = bandit.unbiasedness_probe(
-                model, weights, action, trials=20_000, beta=beta, seed=2)
+        probes = bandit.unbiasedness_probe(
+            model, weights, (0, 1), trials=20_000, beta=beta, seed=2)
+        for mc, exact, sd in probes:
             se = sd / np.sqrt(20_000)
             assert abs(mc - exact) <= 4 * se + 1e-12
+
+
+@pytest.mark.parametrize("beta,seed", [(0.5, 0), (0.2, 4)])
+@pytest.mark.parametrize("weights", ["zero", "normal"])
+def test_probe_over_both_actions_equals_each_alone(beta, seed, weights):
+    # one run serves every action: each triple is bit for bit the one a
+    # run for that action alone gives
+    model = shared_feature_chooser(0.1)
+    dimension = ExactModelTask(model).dimension
+    w = (np.zeros(dimension) if weights == "zero"
+         else np.random.default_rng(seed + 1).normal(size=dimension))
+
+    def hexes(probes):
+        return [[float(v).hex() for v in triple] for triple in probes]
+
+    both = bandit.unbiasedness_probe(model, w, (0, 1), 500, beta=beta,
+                                     seed=seed)
+    alone = [bandit.unbiasedness_probe(model, w, (a,), 500, beta=beta,
+                                       seed=seed)[0] for a in (0, 1)]
+    assert hexes(both) == hexes(alone)
 
 
 def test_probe_matches_when_mixture_components_equal():
@@ -170,7 +190,7 @@ def test_probe_matches_when_mixture_components_equal():
     w[task.feature_index[(("c", "d"), "d")]] = 1.0
     vals = []
     for beta in (0.0, 1.0):
-        _, exact, _ = bandit.unbiasedness_probe(model, w, 0, trials=10,
-                                                beta=beta, seed=0)
+        [(_, exact, _)] = bandit.unbiasedness_probe(model, w, (0,), trials=10,
+                                                    beta=beta, seed=0)
         vals.append(exact)
     assert vals[0] == pytest.approx(vals[1])

@@ -427,7 +427,8 @@ FALSE_VERDICTS = {
               lambda costs, start, dim: [start]),
     "unbiasedness": (["unbiasedness", "--trials", "10"], banditmod,
                      "unbiasedness_probe",
-                     lambda *args, **kw: (1.0, 0.0, 0.0)),
+                     lambda model, weights, actions, *args, **kw:
+                     [(1.0, 0.0, 0.0)] * len(actions)),
 }
 
 
@@ -655,6 +656,13 @@ def unsupported_zip_version(data):
     data[at + 6:at + 8] = struct.pack("<H", 210)
 
 
+def central_directory_outside_file(data):
+    # the end record's offset of the central directory points 2 GiB in,
+    # so zipfile seeks before the file's start
+    at = data.rindex(b"PK\x05\x06")
+    data[at + 16:at + 20] = struct.pack("<I", 0x7FFFFFFF)
+
+
 def npy_header_cut_mid_dict(path):
     header = b"{'descr': '<i8', 'fortran_order': False, 'shape': ("
     with zipfile.ZipFile(path, "w") as archive:
@@ -687,6 +695,7 @@ def npy_header_cut_mid_dict(path):
     pool_archive(dimension=(2, 2)),
     damaged_archive(invalid_deflate_block),
     damaged_archive(unsupported_zip_version),
+    damaged_archive(central_directory_outside_file),
     npy_header_cut_mid_dict,
 ], ids=["text-file", "npz-without-snapshots", "nan-in-snapshots",
         "inf-in-snapshots", "int-snapshots", "snapshot-0-not-zero",
@@ -696,7 +705,7 @@ def npy_header_cut_mid_dict(path):
         "offsets-beyond-arrays", "offsets-without-entry-0", "float-offsets",
         "entry-0-not-empty", "negative-dimension", "dimension-not-scalar",
         "invalid-deflate-block", "unsupported-zip-version",
-        "npy-header-cut-mid-dict"])
+        "central-directory-outside-file", "npy-header-cut-mid-dict"])
 def test_eval_history_not_a_snapshot_archive_exits_one(runner, tmp_path, write):
     data = gen(runner, tmp_path, "multiclass", 10, "mc.csv")
     history = tmp_path / "history.npz"

@@ -193,5 +193,6 @@ def test_unbiasedness_probe_values(action, trials, beta, seed, expected):
     dimension = ExactModelTask(model).dimension
     weights = (np.zeros(dimension) if seed == 0
                else np.random.default_rng(seed).normal(size=dimension))
-    assert hexes(unbiasedness_probe(model, weights, action, trials,
-                                    beta=beta, seed=seed)) == expected
+    [probe] = unbiasedness_probe(model, weights, (action,), trials,
+                                 beta=beta, seed=seed)
+    assert hexes(probe) == expected

@@ -1,5 +1,7 @@
 """Exact enumeration oracles, identities, bounds, and failure demos."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from l2s.theory import (
     indistinct_branch_chooser,
     two_level_chooser,
 )
-from l2s.theory.exact import ExactModelTask
+from l2s.theory.exact import EndLosses, ExactModelTask
 from l2s.theory.snake import (
     best_neighbor_descent,
     longest_snake,
@@ -259,6 +261,56 @@ def test_learned_slot_policy_agrees_with_act():
             assert pol.slot(model, s) == act(LinearPolicy(w),
                                              task.action_features(state))
     assert ties > 0
+
+
+def shuffled(generator, items):
+    return [items[i] for i in generator.permutation(len(items))]
+
+
+# policies per model whose end-loss tables are checked, spread evenly
+# over the class
+TABLE_POLICIES = 24
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_end_loss_tables_equal_exact_values(seed):
+    # every q_row slot is exact_Q and every entry, filled by a walk
+    # through it or read directly, the end loss of its state's
+    # trajectory, whatever the reading order, for the reference and for
+    # class policies
+    order = np.random.default_rng(seed)
+    for model in random_models(seed, 20):
+        pols = enumerate_policies(model)
+        picks = np.linspace(0, len(pols) - 1, min(len(pols), TABLE_POLICIES))
+        states, every = model.nonterminal_states(), list(model.depths)
+        for pol in [reference_policy(model)] + [pols[int(i)] for i in picks]:
+            table = EndLosses(model, pol)
+            for s in shuffled(order, states):
+                assert table.q_row(s) == [
+                    exact_Q(model, pol, s, slot)
+                    for slot in range(len(model.edges[s]))]
+            assert table[model.start] == exact_J(model, pol)
+            for s in shuffled(order, every):
+                assert table[s] == model.losses[trajectory(model, pol, s)[-1]]
+
+
+def test_policy_class_is_the_product_order():
+    models = [two_level_chooser(), indistinct_branch_chooser(),
+              shared_feature_chooser(0.1)]
+    for seed in range(3):
+        models.extend(random_models(seed, 40))
+    for model in models:
+        sigs = model.signatures()
+        combos = list(itertools.product(*(sorted(set(sig)) for sig in sigs)))
+        pols = enumerate_policies(model)
+        assert len(pols) == len(combos)
+        for i, combo in enumerate(combos):
+            assert pols[i].choices == dict(zip(sigs, combo))
+        assert pols[-1].choices == dict(zip(sigs, combos[-1]))
+        assert [p.choices for p in pols] == [dict(zip(sigs, c)) for c in combos]
+        for i in (len(combos), -len(combos) - 1):
+            with pytest.raises(IndexError):
+                pols[i]
 
 
 def test_class_policies_are_linear_policies():

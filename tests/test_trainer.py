@@ -272,6 +272,10 @@ def test_policy_pool_save_load_round_trip(tmp_path):
                for a, b in zip(loaded, trainer.history, strict=True))
     assert all(loaded.rebuild(j).tobytes() == trainer.history.rebuild(j).tobytes()
                for j in range(len(loaded)))
+    # only an OSError raised while an opened archive is read is "not a
+    # snapshot archive"; a missing file is the OSError open raises
+    with pytest.raises(FileNotFoundError):
+        PolicyPool.load(tmp_path / "missing.npz")
 
 
 def test_policy_pool_rejects_foreign_weights_and_indices():
