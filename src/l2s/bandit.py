@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from . import core, rng
+from . import core, experiment, rng
 from .cslearn import CostSensitiveExample
 from .errors import L2SError
 from .theory import exact as ex
@@ -73,6 +73,26 @@ def bandit_step(state, task, loss_oracle, reference):
     return state, BanditOutcome(mode="exploited",
                                 prediction=task.decode(traj_end),
                                 observed_loss=loss)
+
+
+def session(state, dataset, rounds):
+    """Run `rounds` bandit rounds on `dataset`, lazily, yielding each
+    round's (round, instance, outcome) once `state` holds its update.
+
+    Round r picks its instance from the (seed, DATA) stream and builds its
+    task with normalize_loss=True and a 'bad' reference seeded by (seed,
+    REFERENCE, r); the seed is `state.plan.seed`.
+    """
+    seed = state.plan.seed
+    pick = rng.substream(seed, rng.DATA)
+    for r in range(rounds):
+        i = int(pick.integers(len(dataset.records)))
+        task = experiment.make_task(dataset, i, normalize_loss=True)
+        reference = task.reference_policy(
+            "bad", seed=rng.derive_seed(seed, rng.REFERENCE, r))
+        _, outcome = bandit_step(state, task, partial(core.end_loss, task),
+                                 reference)
+        yield r, i, outcome
 
 
 def _checked_loss(loss_oracle, end_state):

@@ -17,7 +17,7 @@ import click
 import numpy as np
 
 from . import bandit as banditmod
-from . import core, experiment, rng, theory
+from . import experiment, rng, theory
 from .cslearn import CostSensitiveLearner
 from .errors import CheckFailed, DataFormatError, L2SError
 from .trainer import AveragedPolicy, PolicyPool, RolloutPlan
@@ -198,8 +198,8 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
 
     The policies and the reference never see the labels: roll-outs use
     the 'bad' reference quality, the one that reads no gold, so the
-    bandit reads no reference_quality setting (see READS). Round r's
-    reference draws from its own stream, seeded by (seed, REFERENCE, r).
+    bandit reads no reference_quality setting (see READS). The rounds
+    are `bandit.session`'s.
     """
     _at_least(1, rounds=rounds)
     cfg, dataset = _config_and_data("bandit", config_path, overrides)
@@ -213,17 +213,10 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
     state = banditmod.BanditState(
         experiment.task_dimension(dataset), epsilon=epsilon,
         beta=cfg.beta, seed=cfg.seed, eta0=cfg.eta0)
-    pick = rng.substream(cfg.seed, rng.DATA)
     # the window of exploit losses the closing line averages
     window = deque(maxlen=100)
     with open(log_out, "w") if log_out else nullcontext() as log_fh:
-        for round_id in range(rounds):
-            i = int(pick.integers(len(dataset.records)))
-            task = experiment.make_task(dataset, i, normalize_loss=True)
-            reference = task.reference_policy(
-                "bad", seed=rng.derive_seed(cfg.seed, rng.REFERENCE, round_id))
-            state, outcome = banditmod.bandit_step(
-                state, task, lambda end: core.end_loss(task, end), reference)
+        for round_id, i, outcome in banditmod.session(state, dataset, rounds):
             if outcome.mode == "exploited":
                 window.append(outcome.observed_loss)
             if log_fh:
@@ -234,7 +227,11 @@ def bandit_cmd(config_path, rounds, epsilon, log_out, **overrides):
                     entry.update({k: outcome.exploration_record[k]
                                   for k in ("t", "action", "k", "rollout")})
                 log_fh.write(json.dumps(entry) + "\n")
-    avg = f"{sum(window) / len(window):.4f}" if window else "n/a"
+    # left to right from 0: from Python 3.12 builtin sum() compensates
+    total = 0.0
+    for loss in window:
+        total += loss
+    avg = f"{total / len(window):.4f}" if window else "n/a"
     click.echo(f"rounds {rounds}  explored {state.n_explore}  "
                f"exploit-loss (last {len(window)}): {avg}")
 

@@ -69,7 +69,12 @@ def check_regret_bound(model, ref, trace, beta):
     ref_q = EndLosses(model, ref)
     qs = [EndLosses(model, p) for p in trace]
     J_ref = ref_q[model.start]
-    J_bar = sum(q[model.start] for q in qs) / N
+    # sums run left to right from 0 in loops: from Python 3.12 builtin
+    # sum() adds floats with compensation
+    J_bar = 0.0
+    for q in qs:
+        J_bar += q[model.start]
+    J_bar /= N
 
     paths = [trajectory(model, p, model.start) for p in trace]
 
@@ -86,7 +91,10 @@ def check_regret_bound(model, ref, trace, beta):
             for label in set(sig):
                 weighted = 1.0 / N * row[sig.index(label)]
                 bucket[label] = bucket.get(label, 0.0) + weighted
-        dev += J_bar - sum(min(bucket.values()) for bucket in per_sig.values())
+        best = 0.0
+        for bucket in per_sig.values():
+            best += min(bucket.values())
+        dev += J_bar - best
 
     lhs_ref = beta * (J_bar - J_ref)
     lhs_dev = (1.0 - beta) * dev

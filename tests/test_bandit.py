@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from l2s import bandit, core, rng
+from l2s import bandit, core, experiment, rng
 from l2s.errors import L2SError
+from l2s.experiment import Dataset
 from l2s.theory import shared_feature_chooser, two_level_chooser
-from l2s.tasks import SequenceTask, gen_sequences
+from l2s.tasks import SequenceTask, gen_multiclass, gen_sequences
 from l2s.theory.exact import ExactModelTask
 
 
@@ -24,6 +25,36 @@ def run_steps(state, task, reference, rounds):
         state, out = bandit.bandit_step(state, task, oracle, reference)
         outcomes.append(out)
     return state, outcomes
+
+
+def session_state(dataset):
+    return bandit.BanditState(experiment.task_dimension(dataset),
+                              epsilon=0.4, beta=0.5, seed=2)
+
+
+def test_session_state_follows_each_yielded_round():
+    dataset = Dataset("multiclass", gen_multiclass(20, 6), 8)
+    state = session_state(dataset)
+    rounds = bandit.session(state, dataset, 30)
+    assert state.n_explore == 0  # lazy: no round runs before next()
+    explored = 0
+    for want in range(12):
+        r, i, outcome = next(rounds)
+        assert r == want and 0 <= i < len(dataset.records)
+        explored += outcome.mode == "explored"
+        assert state.n_explore == explored
+        assert len(state.explored_policies) == explored + 1
+    assert 0 < explored < 12
+    # closed early, the session leaves the state of its last yielded
+    # round: that of a 12-round session
+    rounds.close()
+    with pytest.raises(StopIteration):
+        next(rounds)
+    whole = session_state(dataset)
+    assert len(list(bandit.session(whole, dataset, 12))) == 12
+    assert state.n_explore == whole.n_explore == explored
+    assert len(state.explored_policies) == explored + 1
+    assert state.learner.weights.tobytes() == whole.learner.weights.tobytes()
 
 
 def test_importance_weighted_costs():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l2s import bandit, core, experiment, rng, sparse
+from l2s import bandit, experiment, rng, sparse
 from l2s.errors import L2SError
 from l2s.experiment import Dataset
 from l2s.sparse import ActionFeatures, SparseFeatures, from_pairs, hash_index
@@ -307,16 +307,8 @@ def bandit_session(dataset, rounds=300):
     `l2s bandit` runs it at seed 5."""
     state = bandit.BanditState(experiment.task_dimension(dataset),
                                epsilon=0.3, beta=0.5, seed=5)
-    pick = rng.substream(5, rng.DATA)
-    log = []
-    for round_id in range(rounds):
-        i = int(pick.integers(len(dataset.records)))
-        task = experiment.make_task(dataset, i, normalize_loss=True)
-        reference = task.reference_policy(
-            "bad", seed=rng.derive_seed(5, rng.REFERENCE, round_id))
-        state, outcome = bandit.bandit_step(
-            state, task, lambda end: core.end_loss(task, end), reference)
-        log.append((i, outcome))
+    log = [(i, outcome)
+           for _, i, outcome in bandit.session(state, dataset, rounds)]
     return log, state.learner.weights.tobytes()
 
 
